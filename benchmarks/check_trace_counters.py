@@ -74,11 +74,10 @@ SCENARIOS: Dict[str, List[str]] = {
     "trend-incremental": BASE_ARGS + ["--last-year", "2005", "--incremental"],
     "trend-store": BASE_ARGS + ["--last-year", "2005",
                                 "--store-dir", STORE_DIR_TOKEN],
-    # Columnar exchange: two workers publish framed segments, the
-    # parent claims them — segment sizes are a pure function of the
-    # seeded results, so bytes_claimed is an exact count.
-    "trend-exchange": BASE_ARGS + ["--last-year", "2005", "--no-stability",
-                                   "--jobs", "2", "--exchange", "columnar"],
+    # Parallel sweep: two workers return JSON payloads; job sources
+    # and record counts must match the serial path's exactly.
+    "trend-parallel": BASE_ARGS + ["--last-year", "2005", "--no-stability",
+                                   "--jobs", "2"],
     # World-lineage checkpoints on the serial path: the stability
     # cadence is dense enough that stride-4 saves land, and the save
     # count is an exact function of the sweep's instant schedule.

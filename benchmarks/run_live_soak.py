@@ -61,10 +61,6 @@ SCENARIO = "live-soak"
 #: Window width of the soak stream (seconds).
 WINDOW = 100
 
-#: Shard workers of every phase; counters are shard-invariant for the
-#: ``live.*`` family, but the fixture pins it anyway.
-SHARDS = 2
-
 #: Windows the kill phase is allowed to close before "crashing".
 KILL_AFTER = 2
 
@@ -184,7 +180,6 @@ def run_live(archive_dir: Path, extra: List[str],
         "live",
         "--archive", str(archive_dir),
         "--window", str(WINDOW),
-        "--shards", str(SHARDS),
         "--json",
     ] + extra
     if trace is not None:

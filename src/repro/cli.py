@@ -107,6 +107,14 @@ def _positive_int(value: str) -> int:
     return count
 
 
+def _non_negative_int(value: str) -> int:
+    """Argparse type for counts that may be 0."""
+    count = int(value)
+    if count < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return count
+
+
 def _add_engine_options(parser: argparse.ArgumentParser,
                         with_checkpoint: bool = False) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1,
@@ -129,16 +137,6 @@ def _add_engine_options(parser: argparse.ArgumentParser,
                         help="write a JSONL span/counter trace of the run "
                              "to this file (see docs/observability.md); "
                              "output is unchanged")
-    parser.add_argument("--exchange", choices=("json", "columnar"),
-                        default="json",
-                        help="worker result transport on parallel runs: "
-                             "json (default) or the zero-copy columnar "
-                             "plane over shared memory / spool files "
-                             "(identical results)")
-    parser.add_argument("--exchange-dir", type=Path, default=None,
-                        dest="exchange_dir",
-                        help="spool columnar result segments through this "
-                             "directory instead of shared memory")
     parser.add_argument("--world-checkpoint-dir", type=Path, default=None,
                         dest="world_checkpoint_dir",
                         help="persist world-lineage checkpoints here; "
@@ -164,19 +162,13 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
     return ExecutionEngine(
         jobs=args.jobs,
         batch=args.batch,
-        cache=(
-            ResultCache(args.cache_dir, binary=args.exchange == "columnar")
-            if args.cache_dir
-            else None
-        ),
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         checkpoint=(
             CheckpointLog(args.checkpoint)
             if getattr(args, "checkpoint", None)
             else None
         ),
         hooks=(progress_hook(sys.stderr),) if args.progress else (),
-        exchange=args.exchange,
-        exchange_dir=args.exchange_dir,
         world_checkpoint_dir=args.world_checkpoint_dir,
     )
 
@@ -441,8 +433,6 @@ def cmd_live(args: argparse.Namespace) -> int:
         family = AF_INET if args.family == 4 else AF_INET6
     config = LiveConfig(
         window_seconds=args.window,
-        shards=args.shards,
-        queue_depth=args.queue_depth,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         store_dir=args.store_dir,
@@ -700,12 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "update feed (see `repro simulate`)")
     live.add_argument("--window", type=_positive_int, default=900,
                       help="window width in seconds (default: 900)")
-    live.add_argument("--shards", type=_positive_int, default=1,
-                      help="shard worker threads (default: 1)")
-    live.add_argument("--queue-depth", type=_positive_int, default=256,
-                      dest="queue_depth",
-                      help="bounded per-shard queue depth; the coordinator "
-                           "blocks (backpressure) when a shard falls behind")
     live.add_argument("--checkpoint-dir", type=Path, default=None,
                       dest="checkpoint_dir",
                       help="save window-boundary checkpoints here; a killed "
@@ -716,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     live.add_argument("--store-dir", type=Path, default=None, dest="store_dir",
                       help="append per-window atom snapshots to this store "
                            "(queryable with `repro serve` while growing)")
-    live.add_argument("--store-merge-every", type=int, default=0,
+    live.add_argument("--store-merge-every", type=_non_negative_int, default=0,
                       dest="store_merge_every",
                       help="fold window parts into the queryable store every "
                            "N windows (default: only at end of stream)")

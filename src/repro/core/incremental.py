@@ -242,9 +242,8 @@ class AtomIndex:
         actually moved: the new key, or None when the prefix lost its
         last visible path.  Prefixes whose recomputed key is pointer-
         identical to the old one are omitted — exactly the work
-        :meth:`_apply_key` skipped.  Consumers that mirror this index's
-        groups elsewhere (the live pipeline's cross-shard merge) replay
-        the delta instead of re-reading every key.
+        :meth:`_apply_key` skipped.  The live pipeline reports the
+        delta's size as each window's key changes.
         """
         delta: Dict[Prefix, Optional[Tuple]] = {}
         self._refresh(collect=delta)

@@ -12,14 +12,6 @@ Entries are one JSON file each under ``<root>/<aa>/<digest>.json``,
 written atomically (temp file + ``os.replace``).  A corrupted or
 version-skewed entry is treated as a miss, deleted, and recomputed —
 never crashed on.
-
-A cache built with ``binary=True`` additionally persists each result's
-framed binary segment (:mod:`repro.engine.exchange`) as a ``.seg``
-sidecar next to the JSON entry; :meth:`ResultCache.get` prefers the
-sidecar whenever one exists — warm hits skip the JSON decode — and
-falls back to the JSON entry when the sidecar's digest or key check
-fails.  The JSON entry is always written, so binary and plain caches
-interoperate on the same directory.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ from repro.engine.jobs import (
     result_from_payload,
     result_to_payload,
 )
-from repro.obs import get_tracer
 
 #: Bump whenever atom computation, sanitization, or the simulator
 #: change semantics: old cache entries silently become unreachable.
@@ -91,51 +82,17 @@ def job_digest(job: SnapshotJob, salt: str = CACHE_SALT) -> str:
 
 
 class ResultCache:
-    """Persist job results on disk, keyed by :func:`job_digest`.
+    """Persist job results on disk, keyed by :func:`job_digest`."""
 
-    ``binary=True`` adds a framed binary ``.seg`` sidecar per entry
-    (written on :meth:`put`, preferred on :meth:`get`); the JSON entry
-    remains authoritative and is always written.
-    """
-
-    def __init__(self, root: os.PathLike, binary: bool = False):
+    def __init__(self, root: os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.binary = binary
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _binary_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.seg"
-
     def get(self, key: str) -> Optional[QuarterResult]:
-        """The cached result, or None on miss *or* corruption.
-
-        A binary sidecar, when present, is decoded first (digest- and
-        key-checked); on any mismatch it is dropped and the JSON entry
-        answers instead — regardless of this cache's ``binary`` flag,
-        so a plain cache still benefits from sidecars a columnar run
-        left behind.
-        """
-        sidecar = self._binary_path(key)
-        if sidecar.exists():
-            from repro.engine.exchange import decode_cache_entry
-
-            try:
-                result = decode_cache_entry(sidecar.read_bytes(), key)
-            except (ValueError, KeyError, TypeError, OSError, RuntimeError):
-                # Digest mismatch, truncation, key mismatch: drop the
-                # sidecar and fall back to the JSON entry.
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-            else:
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.count("exchange.cache_binary_hits")
-                return result
+        """The cached result, or None on miss *or* corruption."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -153,18 +110,8 @@ class ResultCache:
                 pass
             return None
 
-    def put(
-        self,
-        key: str,
-        result: QuarterResult,
-        segment: Optional[bytes] = None,
-    ) -> Path:
-        """Atomically persist one result.
-
-        ``segment`` (an already-encoded result segment image, e.g. the
-        one just claimed off the exchange plane) seeds the binary
-        sidecar without re-encoding; ignored unless ``binary=True``.
-        """
+    def put(self, key: str, result: QuarterResult) -> Path:
+        """Atomically persist one result."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"key": key, "result": result_to_payload(result)}
@@ -184,23 +131,6 @@ class ResultCache:
                     tmp.unlink()
                 except OSError:
                     pass
-        if self.binary:
-            from repro.engine.exchange import encode_cache_entry
-
-            sidecar = self._binary_path(key)
-            entry = encode_cache_entry(key, result, segment)
-            side_tmp = sidecar.parent / (
-                f"{sidecar.name}.tmp{os.getpid()}-{uuid.uuid4().hex}"
-            )
-            try:
-                side_tmp.write_bytes(entry)
-                os.replace(side_tmp, sidecar)
-            finally:
-                if side_tmp.exists():
-                    try:
-                        side_tmp.unlink()
-                    except OSError:
-                        pass
         return path
 
     def __contains__(self, key: str) -> bool:

@@ -382,43 +382,27 @@ def persist_suite_part(job: SnapshotJob, suite) -> None:
     write_part(job.store_dir, job_digest(job), snapshots)
 
 
-def execute_snapshot_batch(
-    jobs: Sequence[SnapshotJob],
-    exchange: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
+def execute_snapshot_batch(jobs: Sequence[SnapshotJob]) -> Dict[str, Any]:
     """Pool entry point: run a chronological chunk of jobs as one task.
 
     Batching amortizes pool overhead two ways: the chunk's jobs share
     this worker's cached world lineage back to back (no other task can
     interleave and reset it), and each result crosses the process
-    boundary compactly — by default as its :func:`result_to_payload`
-    dict (the JSON codec the cache persists), or, when ``exchange``
-    carries a :meth:`~repro.engine.exchange.ResultPlane.spec`, as a
-    published binary segment whose ref the parent redeems zero-copy.
-    Per-job wall times are measured here, worker-side, so the scheduler
-    can report them exactly as the unbatched path did.
+    boundary compactly as its :func:`result_to_payload` dict (the JSON
+    codec the cache persists).  Per-job wall times are measured here,
+    worker-side, so the scheduler can report them exactly as the
+    unbatched path did.
     """
     items: List[Dict[str, Any]] = []
     for job in jobs:
         started = time.perf_counter()
         result = execute_snapshot_job(job)
-        if exchange is not None:
-            from repro.engine.exchange import (
-                encode_result_segment,
-                publish_result,
-            )
-
-            ref = publish_result(exchange, encode_result_segment(result))
-            items.append(
-                {"ref": ref, "seconds": time.perf_counter() - started}
-            )
-        else:
-            items.append(
-                {
-                    "payload": result_to_payload(result),
-                    "seconds": time.perf_counter() - started,
-                }
-            )
+        items.append(
+            {
+                "payload": result_to_payload(result),
+                "seconds": time.perf_counter() - started,
+            }
+        )
     return {"worker": os.getpid(), "items": items}
 
 

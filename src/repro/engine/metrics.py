@@ -6,12 +6,10 @@ callables ``hook(event: str, payload: dict)``.  Events:
 * ``sweep_start``  — ``{"jobs": n, "workers": k}``
 * ``job_start``    — ``{"index", "label", "key"}`` (computed jobs only)
 * ``job_done``     — ``{"index", "label", "key", "source", "seconds",
-  "records", "worker", "incremental", "codec", "exchange_bytes"}``
-  where ``source`` is one of ``computed``, ``cache``, ``checkpoint``,
-  ``incremental`` carries the job's atom-index maintenance counters
-  (empty for from-scratch jobs), and ``codec`` says how the result
-  crossed the worker boundary (``json`` or ``columnar``, with
-  ``exchange_bytes`` the claimed segment size for the latter)
+  "records", "worker", "incremental"}`` where ``source`` is one of
+  ``computed``, ``cache``, ``checkpoint``, and ``incremental`` carries
+  the job's atom-index maintenance counters (empty for from-scratch
+  jobs)
 * ``sweep_done``   — ``{"seconds": wall}``
 
 :class:`EngineMetrics` is the standard hook: it aggregates per-job wall
@@ -48,10 +46,6 @@ class JobMetric:
     worker: Optional[int] = None
     #: atom-index maintenance counters ({} when the job ran from scratch)
     incremental: Dict[str, Any] = field(default_factory=dict)
-    #: how the result crossed the worker boundary ("json" or "columnar")
-    codec: str = "json"
-    #: claimed segment size in bytes (0 for the JSON codec)
-    exchange_bytes: int = 0
 
 
 @dataclass
@@ -80,8 +74,6 @@ class EngineMetrics:
                     records=int(payload.get("records", 0)),
                     worker=payload.get("worker"),
                     incremental=dict(payload.get("incremental") or {}),
-                    codec=str(payload.get("codec", "json")),
-                    exchange_bytes=int(payload.get("exchange_bytes", 0)),
                 )
             )
         elif event == "sweep_done":
@@ -139,22 +131,6 @@ class EngineMetrics:
             "seconds_incremental": total("seconds_incremental"),
         }
 
-    def exchange_summary(self) -> Dict[str, Any]:
-        """Rollup of the columnar exchange plane across recorded jobs.
-
-        Empty dict when every result crossed the worker boundary as
-        JSON (serial runs, ``--exchange json``, pure cache sweeps).
-        """
-        columnar = [job for job in self.jobs if job.codec == "columnar"]
-        if not columnar:
-            return {}
-        total = sum(job.exchange_bytes for job in columnar)
-        return {
-            "columnar_jobs": len(columnar),
-            "bytes_claimed": total,
-            "mean_segment_bytes": total / len(columnar),
-        }
-
     def worker_summary(self) -> Dict[int, Dict[str, float]]:
         """Per-worker job counts and busy seconds, computed jobs only.
 
@@ -210,7 +186,6 @@ class EngineMetrics:
             "worker_utilization": min(1.0, utilization),
             "per_worker": self.worker_summary(),
             "incremental": self.incremental_summary(),
-            "exchange": self.exchange_summary(),
         }
 
     def render(self) -> str:
@@ -232,13 +207,6 @@ class EngineMetrics:
                 f"steps, {inc['rebuilds']} rebuild(s), "
                 f"{inc['key_recomputations']:,} key recomputes, "
                 f"mean dirty set {inc['dirty_mean']:.1f}"
-            )
-        xch = s["exchange"]
-        if xch:
-            line += (
-                f" | exchange: {xch['columnar_jobs']} columnar job(s), "
-                f"{xch['bytes_claimed']:,} bytes "
-                f"(mean {xch['mean_segment_bytes']:,.0f})"
             )
         return line
 

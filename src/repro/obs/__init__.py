@@ -40,7 +40,6 @@ from repro.obs.trace import (
     Tracer,
     TracerLike,
     get_tracer,
-    set_thread_tracer,
     set_tracer,
     traced_records,
     use_tracer,
@@ -60,7 +59,6 @@ __all__ = [
     "get_tracer",
     "load_trace",
     "profile_rows",
-    "set_thread_tracer",
     "set_tracer",
     "stage_rollups",
     "traced_records",

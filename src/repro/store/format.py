@@ -45,12 +45,6 @@ FORMAT_NAME = "repro-atom-store"
 #: Segment kinds (the header's ``kind`` field).
 KIND_PATHS = 1
 KIND_COLUMNS = 2
-#: A framed :class:`~repro.engine.jobs.QuarterResult` (the exchange
-#: plane's wire image and the result cache's binary sidecar).
-KIND_RESULT = 3
-
-#: Byte width of the SHA-256 stamp opening a digested segment payload.
-DIGEST_SIZE = 32
 
 #: Segment header: magic, version, kind, payload byte length.
 HEADER = struct.Struct(">4sHHQ")
@@ -220,33 +214,6 @@ def check_segment(data, kind: int, name: str):
 def digest(data) -> str:
     """SHA-256 hex digest of a segment image (manifest integrity field)."""
     return hashlib.sha256(data).hexdigest()
-
-
-def frame_digested_segment(kind: int, body: bytes) -> bytes:
-    """A self-verifying segment image: the payload opens with a SHA-256.
-
-    Store segments carry their digest in the manifest; segments that
-    travel *alone* — exchange-plane results, cache sidecars — stamp the
-    digest into the payload itself so any reader can verify the image
-    without a manifest.
-    """
-    return frame_segment(kind, hashlib.sha256(body).digest() + body)
-
-
-def check_digested_segment(data, kind: int, name: str):
-    """Validate header and embedded digest; returns the body view.
-
-    Zero-copy like :func:`check_segment`: the returned body is a slice
-    of ``data``.  Raises :class:`StoreError` on any malformation,
-    including a digest mismatch.
-    """
-    payload = check_segment(data, kind, name)
-    if len(payload) < DIGEST_SIZE:
-        raise StoreError(f"{name}: digested segment shorter than its digest")
-    body = payload[DIGEST_SIZE:]
-    if hashlib.sha256(body).digest() != bytes(payload[:DIGEST_SIZE]):
-        raise StoreError(f"{name}: segment digest mismatch")
-    return body
 
 
 def column_padding(rows: int) -> int:

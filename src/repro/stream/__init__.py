@@ -5,7 +5,7 @@ the way real MRT archives are (project/collector/type/date); ``bgpstream``
 exposes the familiar iterator API over either an archive on disk or a
 live :class:`~repro.simulation.scenario.SimulatedInternet`.  ``live``
 consumes such a stream continuously, keeping the policy-atom partition
-current with sharded incremental workers (``repro live``), and
+current with one incremental atom index (``repro live``), and
 ``windows`` holds its per-window metric containers.
 """
 
@@ -18,8 +18,6 @@ from repro.stream.live import (
     LiveParityError,
     LivePipeline,
     LiveRun,
-    PrefixSharder,
-    ThreadSafeInternPool,
 )
 from repro.stream.mrt import MRTReader, MRTWriter, read_mrt
 from repro.stream.windows import (
@@ -39,10 +37,8 @@ __all__ = [
     "LiveRun",
     "MRTReader",
     "MRTWriter",
-    "PrefixSharder",
     "RecordArchive",
     "RecordFilter",
-    "ThreadSafeInternPool",
     "WindowResult",
     "apply",
     "read_mrt",

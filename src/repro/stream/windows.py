@@ -12,9 +12,8 @@ evaluated over just that window's records.
 
 Everything in a :class:`WindowResult` except the wall-clock fields is a
 deterministic function of the replayed stream, which is what lets CI
-gate the ``live.*`` counters exactly; ``wall_seconds`` /
-``backpressure_waits`` describe the run, not the data, and are exported
-as span attributes only.
+gate the ``live.*`` counters exactly; ``wall_seconds`` describes the
+run, not the data, and is exported as a span attribute only.
 """
 
 from __future__ import annotations
@@ -69,8 +68,6 @@ class WindowResult:
     pr_full: Optional[float]
     #: wall-clock seconds spent in the window (non-deterministic)
     wall_seconds: float = 0.0
-    #: coordinator blocks on a full shard queue (non-deterministic)
-    backpressure_waits: int = 0
 
     def as_dict(self, deterministic_only: bool = False) -> Dict[str, object]:
         """JSON-safe view; ``deterministic_only`` drops wall-clock noise."""
@@ -93,7 +90,6 @@ class WindowResult:
         }
         if not deterministic_only:
             payload["wall_seconds"] = self.wall_seconds
-            payload["backpressure_waits"] = self.backpressure_waits
         return payload
 
 

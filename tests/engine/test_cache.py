@@ -88,6 +88,13 @@ class TestDigest:
         """Cosmetic fields must not fragment the cache."""
         assert job_digest(make_job(label="a")) == job_digest(make_job(label="b"))
 
+    def test_job_digest_unchanged_by_world_checkpoint_fields(self):
+        """Checkpoint wiring must not invalidate existing caches."""
+        stamped = make_job(
+            world_checkpoint_dir="/tmp/x", world_checkpoint_stride=2
+        )
+        assert job_digest(stamped) == job_digest(make_job())
+
     def test_salt_is_v3(self):
         """The canonical-form fix must invalidate v2 entries."""
         assert CACHE_SALT == "repro-engine-v3"

@@ -21,6 +21,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["atoms", "--family", "5"])
 
+    def test_live_rejects_negative_store_merge_every(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["live", "--archive", "a", "--store-merge-every", "-1"]
+            )
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_atoms_from_simulation(self, capsys):
