@@ -15,7 +15,7 @@ Four subcommands mirror the measurement workflow:
 * ``repro serve``    — long-running HTTP/JSON atom query service over
   an on-disk store (see ``docs/serving.md``);
 * ``repro live``     — streaming atom maintenance over an archived
-  update feed: sharded incremental workers, windowed churn metrics,
+  update feed: one incremental atom index, windowed churn metrics,
   checkpoint/resume and an optional growing-store sink (see
   ``docs/streaming.md``);
 * ``repro converge`` — run the discrete-event convergence engine over a

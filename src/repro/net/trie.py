@@ -139,33 +139,6 @@ class PrefixTrie(Generic[V]):
         matched = Prefix.from_host_bits(prefix.family, prefix.network, length)
         return matched, value
 
-    def matches(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
-        """Yield every stored (prefix, value) pair covering ``prefix``.
-
-        Pairs come out shortest-first (the /0 default route, when
-        stored, leads), descending the one root-to-``prefix`` branch —
-        valueless interior nodes are traversed, not yielded.  The last
-        pair yielded is :meth:`longest_match`.
-        """
-        self._check_family(prefix)
-        node = self._root
-        if node.has_value:
-            yield (
-                Prefix.from_host_bits(self.family, 0, 0),
-                node.value,  # type: ignore[misc]
-            )
-        for position in range(prefix.length):
-            node = node.children[prefix.bit(position)]  # type: ignore[assignment]
-            if node is None:
-                return
-            if node.has_value:
-                yield (
-                    Prefix.from_host_bits(
-                        self.family, prefix.network, position + 1
-                    ),
-                    node.value,  # type: ignore[misc]
-                )
-
     def covered(self, prefix: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Yield stored (prefix, value) pairs at or below ``prefix``."""
         self._check_family(prefix)

@@ -7,8 +7,8 @@ aggregate queries from a reopened
 scale shape of bgproutes.io, built on the store's millisecond reopen.
 
 * :class:`AtomQueryService` (:mod:`repro.serve.service`) — the
-  transport-free query core: prefix-trie shard routing
-  (:class:`ShardRouter`), stability histories, churn timelines,
+  transport-free query core: per-prefix stability histories (built
+  once per prefix, memoised in a bounded LRU), churn timelines,
   split/merge series;
 * :class:`ResponseCache` (:mod:`repro.serve.cache`) — bounded LRU over
   content-addressed response digests (the engine cache's v3 canonical
@@ -27,12 +27,7 @@ load benchmark emits ``benchmarks/output/BENCH_serve.json``.
 from repro.serve.app import ServeApp, ServerHandle, serve_in_thread
 from repro.serve.cache import ResponseCache, response_key
 from repro.serve.http import AtomServer, encode_body, etag_for
-from repro.serve.service import (
-    AtomQueryService,
-    QueryError,
-    ShardRouter,
-    covering_prefix,
-)
+from repro.serve.service import AtomQueryService, QueryError
 
 __all__ = [
     "AtomQueryService",
@@ -41,8 +36,6 @@ __all__ = [
     "ResponseCache",
     "ServeApp",
     "ServerHandle",
-    "ShardRouter",
-    "covering_prefix",
     "encode_body",
     "etag_for",
     "response_key",

@@ -16,27 +16,32 @@ Three endpoint families, all pure functions of the opened store:
   atom counts plus the split/merge series between consecutive base
   snapshots.
 
-Point lookups route through a :class:`ShardRouter`: a per-snapshot
-:class:`~repro.net.trie.PrefixTrie` built from the manifest's shard
-ranges maps a query prefix to its candidate shards in O(prefix bits),
-so a lookup touches one shard segment instead of scanning the shard
-list — the same structure that lets a multi-box deployment route
-requests before opening any segment.  Responses are memoised in a
-:class:`~repro.serve.cache.ResponseCache` under content-addressed keys
-salted with the store's manifest digest, so a rebuilt store can never
-serve a stale response.
+A prefix's stability history depends only on the prefix, never on
+the snapshot a request names, so the service builds it once per
+prefix from :meth:`~repro.store.reader.AtomStore.query` and keeps it
+in a bounded LRU sized like the response cache.  Responses are
+memoised in a :class:`~repro.serve.cache.ResponseCache`
+under content-addressed keys salted with the store's manifest digest,
+so a rebuilt store can never serve a stale response.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.bgp.rib import PeerId
+from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, PrefixError
-from repro.net.trie import PrefixTrie
 from repro.obs import get_tracer
 from repro.serve.cache import ResponseCache, response_key
 from repro.store.format import StoreError
-from repro.store.reader import AtomStore, ShardInfo, StoreSnapshot
+from repro.store.reader import AtomStore, StoreSnapshot
+
+#: One prefix's stability history: its atom id in each stored snapshot
+#: (None where absent), how many snapshots carry it, and how many
+#: consecutive-snapshot transitions changed its path vector.
+History = Tuple[Tuple[Optional[int], ...], int, int]
 
 
 class QueryError(ValueError):
@@ -45,65 +50,6 @@ class QueryError(ValueError):
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
-
-
-def covering_prefix(first: Prefix, last: Prefix) -> Prefix:
-    """The shortest prefix containing every prefix in ``[first, last]``.
-
-    Shards cover contiguous ranges of the sorted prefix universe; the
-    common leading bits of the endpoints (capped by their own lengths)
-    bound everything between them, so one trie entry per shard routes
-    the whole range.  A range spanning the top of the tree degrades to
-    the zero-length default route — the trie handles it as a root
-    value.
-    """
-    if first.family != last.family:
-        raise ValueError("shard endpoints must share an address family")
-    common = first.max_length - (first.network ^ last.network).bit_length()
-    length = min(common, first.length, last.length)
-    return Prefix.from_host_bits(first.family, first.network, length)
-
-
-class ShardRouter:
-    """Prefix-trie routing from a query prefix to its candidate shards.
-
-    Built once per snapshot from the manifest only (no segment is
-    mapped): each shard's covering prefix is inserted into a per-family
-    trie, valued with the shard indices it covers.  :meth:`route` walks
-    the one branch under the query prefix, unions the shard lists, and
-    keeps the shards whose exact ``[first, last]`` range covers the
-    prefix — identical candidates to a linear scan, found in
-    O(prefix bits).
-    """
-
-    def __init__(self, entry: StoreSnapshot):
-        self.key = entry.key
-        self._shards = entry.shards
-        self._tries: Dict[int, PrefixTrie[List[int]]] = {}
-        for index, shard in enumerate(entry.shards):
-            cover = covering_prefix(shard.first, shard.last)
-            trie = self._tries.get(cover.family)
-            if trie is None:
-                trie = self._tries[cover.family] = PrefixTrie(cover.family)
-            existing = trie.get(cover)
-            if existing is None:
-                trie.insert(cover, [index])
-            else:
-                existing.append(index)
-
-    def route(self, prefix: Prefix) -> List[ShardInfo]:
-        """Covering shards for ``prefix``, in manifest (sorted) order."""
-        trie = self._tries.get(prefix.family)
-        if trie is None:
-            return []
-        candidates: Set[int] = set()
-        for _cover, indices in trie.matches(prefix):
-            candidates.update(indices)
-        return [
-            self._shards[index]
-            for index in sorted(candidates)
-            if self._shards[index].covers(prefix)
-        ]
 
 
 def peer_label(peer: Tuple[str, int, str]) -> Dict[str, Any]:
@@ -128,7 +74,6 @@ class AtomQueryService:
         self.store = store
         self.cache = cache if cache is not None else ResponseCache()
         self.version = store.manifest_digest()
-        self._routers: Dict[str, ShardRouter] = {}
         self._prefix_sets: Dict[str, Set[FrozenSet[Prefix]]] = {}
         entries = store.snapshots()
         if not entries:
@@ -136,6 +81,12 @@ class AtomQueryService:
         self._entries = entries
         self._base_entries = [e for e in entries if e.role == "base"]
         self.default_key = entries[0].key
+        # The snapshot list and manifest version are fixed above, so a
+        # memoised history never goes stale; clients choose the keys, so
+        # the memo is bounded like the response cache.
+        self._history = functools.lru_cache(maxsize=self.cache.max_entries)(
+            self._build_history
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -148,20 +99,6 @@ class AtomQueryService:
             return self.store.snapshot(key)
         except StoreError as error:
             raise QueryError(str(error), status=404) from None
-
-    def _router(self, key: str) -> ShardRouter:
-        router = self._routers.get(key)
-        if router is None:
-            router = self._routers[key] = ShardRouter(self.store.snapshot(key))
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count("serve.routers_built")
-        return router
-
-    def _routed_query(self, prefix: Prefix, key: str):
-        return self.store.query(
-            prefix, key=key, shards=self._router(key).route(prefix)
-        )
 
     def _parse_prefix(self, text: str) -> Prefix:
         try:
@@ -187,6 +124,41 @@ class AtomQueryService:
             ).prefix_sets()
         return found
 
+    def _build_history(self, prefix: Prefix) -> History:
+        """``prefix``'s :data:`History`, from one store query per snapshot.
+
+        Vantage points are matched by identity, not by tuple position:
+        a transition where the prefix is present on both sides changes
+        its path vector when some vantage point in both panels has a
+        different path there; one in only one panel is not compared.
+        Paths are compared as the store's path-table objects, never
+        through ``str()``: there is one object per interned id, so an
+        unchanged path is the same object and its segments compare by
+        identity.
+        """
+        atom_ids: List[Optional[int]] = []
+        panels: List[Optional[Dict[PeerId, Optional[ASPath]]]] = []
+        for entry in self._entries:
+            row = self.store.query(prefix, key=entry.key)
+            if row is None:
+                atom_ids.append(None)
+                panels.append(None)
+            else:
+                atom_ids.append(row.atom_id)
+                panels.append(dict(zip(entry.vantage_points, row.paths)))
+        present = sum(1 for panel in panels if panel is not None)
+        path_changes = sum(
+            1
+            for before, after in zip(panels, panels[1:])
+            if before is not None
+            and after is not None
+            and any(
+                peer in before and before[peer] != path
+                for peer, path in after.items()
+            )
+        )
+        return tuple(atom_ids), present, path_changes
+
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
@@ -209,7 +181,7 @@ class AtomQueryService:
             with tracer.span(
                 "serve-prefix", prefix=str(prefix), snapshot=entry.key
             ):
-                found = self._routed_query(prefix, entry.key)
+                found = self.store.query(prefix, key=entry.key)
                 atom: Optional[Dict[str, Any]] = None
                 location: Optional[Dict[str, Any]] = None
                 if found is not None:
@@ -226,35 +198,17 @@ class AtomQueryService:
                         ],
                     }
                     location = {"shard": found.shard, "row": found.row}
-                history: List[Dict[str, Any]] = []
-                vectors: List[Optional[Tuple[Optional[str], ...]]] = []
-                for other in self._entries:
-                    row = self._routed_query(prefix, other.key)
-                    history.append(
-                        {
-                            "snapshot": other.key,
-                            "label": other.label,
-                            "role": other.role,
-                            "year": other.year,
-                            "atom_id": None if row is None else row.atom_id,
-                        }
-                    )
-                    vectors.append(
-                        None
-                        if row is None
-                        else tuple(
-                            None if path is None else str(path)
-                            for path in row.paths
-                        )
-                    )
-                present = sum(1 for vector in vectors if vector is not None)
-                path_changes = sum(
-                    1
-                    for before, after in zip(vectors, vectors[1:])
-                    if before is not None
-                    and after is not None
-                    and before != after
-                )
+                atom_ids, present, path_changes = self._history(prefix)
+                history = [
+                    {
+                        "snapshot": other.key,
+                        "label": other.label,
+                        "role": other.role,
+                        "year": other.year,
+                        "atom_id": atom_id,
+                    }
+                    for other, atom_id in zip(self._entries, atom_ids)
+                ]
                 return {
                     "prefix": str(prefix),
                     "snapshot": entry.key,

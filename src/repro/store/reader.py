@@ -32,7 +32,7 @@ import json
 import mmap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.bgp.rib import PeerId
 from repro.core.atoms import AtomSet, PolicyAtom
@@ -454,7 +454,6 @@ class AtomStore:
         self,
         prefix: Union[str, Prefix],
         key: Optional[str] = None,
-        shards: Optional[Sequence[ShardInfo]] = None,
     ) -> Optional[QueryResult]:
         """Locate ``prefix`` in one snapshot without loading the snapshot.
 
@@ -463,12 +462,6 @@ class AtomStore:
         order exactly like :meth:`Prefix.key`).  ``key`` defaults to the
         store's first snapshot.  Returns None when the prefix is not in
         the snapshot's universe.
-
-        ``shards`` restricts the search to a pre-routed candidate list
-        (``repro.serve``'s prefix-trie router); the default considers
-        every shard of the snapshot, and both paths return identical
-        answers because candidates are still filtered by
-        :meth:`ShardInfo.covers`.
         """
         if isinstance(prefix, str):
             prefix = Prefix.parse(prefix)
@@ -482,7 +475,7 @@ class AtomStore:
             target = PREFIX_RECORD.pack(
                 prefix.family, prefix.network.to_bytes(16, "big"), prefix.length
             )
-            for shard in entry.shards if shards is None else shards:
+            for shard in entry.shards:
                 if not shard.covers(prefix):
                     continue
                 prefix_block, columns, rows = self._shard_columns(entry, shard)

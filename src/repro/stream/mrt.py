@@ -88,13 +88,15 @@ def _decode_nlri(
     if offset >= len(data):
         raise MRTError("NLRI runs past the buffer")
     bit_length = data[offset]
+    total_bits = 32 if family == AF_INET else 128
+    if bit_length > total_bits:
+        raise MRTError(f"NLRI length {bit_length} exceeds {total_bits} bits")
     offset += 1
     byte_length = (bit_length + 7) // 8
     chunk = data[offset : offset + byte_length]
     if len(chunk) != byte_length:
         raise MRTError("NLRI prefix bytes truncated")
     offset += byte_length
-    total_bits = 32 if family == AF_INET else 128
     value = int.from_bytes(chunk, "big") << (total_bits - 8 * byte_length)
     return Prefix.from_host_bits(family, value, bit_length), offset
 

@@ -115,18 +115,11 @@ class TestZeroLengthPrefix:
         assert trie.longest_match(p("192.0.2.0/24")) is None
         assert trie[p("10.0.0.0/8")] == "ten"
 
-    def test_matches_yields_default_first(self):
-        trie = PrefixTrie(AF_INET)
-        trie[self.DEFAULT] = "default"
-        trie[p("10.0.0.0/8")] = "ten"
-        found = list(trie.matches(p("10.0.0.0/24")))
-        assert found == [(self.DEFAULT, "default"), (p("10.0.0.0/8"), "ten")]
-
 
 class TestValuelessInteriorNodes:
-    """LPM and matches() must skip interior nodes created only as
-    branch points (inserting 10.0.0.0/9 and 10.128.0.0/9 materialises
-    a valueless 10.0.0.0/8 node)."""
+    """LPM must skip interior nodes created only as branch points
+    (inserting 10.0.0.0/9 and 10.128.0.0/9 materialises a valueless
+    10.0.0.0/8 node)."""
 
     def build(self):
         trie = PrefixTrie(AF_INET)
@@ -152,40 +145,6 @@ class TestValuelessInteriorNodes:
             "sixteen",
         )
         assert trie.longest_match(p("10.5.0.0/16")) is None
-
-    def test_matches_skips_branch_point(self):
-        trie = self.build()
-        trie[p("10.0.0.0/16")] = "fine"
-        found = list(trie.matches(p("10.0.0.0/24")))
-        assert found == [
-            (p("10.0.0.0/9"), "low"),
-            (p("10.0.0.0/16"), "fine"),
-        ]
-
-
-class TestMatches:
-    def test_shortest_first_chain(self):
-        trie = PrefixTrie(AF_INET)
-        for text in ("10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/24"):
-            trie[p(text)] = text
-        found = [str(k) for k, _ in trie.matches(p("10.0.0.0/24"))]
-        assert found == ["10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/24"]
-
-    def test_siblings_not_matched(self):
-        trie = PrefixTrie(AF_INET)
-        trie[p("10.0.0.0/8")] = "a"
-        trie[p("11.0.0.0/8")] = "b"
-        assert [v for _, v in trie.matches(p("10.1.0.0/16"))] == ["a"]
-
-    def test_no_match(self):
-        trie = PrefixTrie(AF_INET)
-        trie[p("10.0.0.0/8")] = "a"
-        assert list(trie.matches(p("192.0.2.0/24"))) == []
-
-    def test_family_mismatch_rejected(self):
-        trie = PrefixTrie(AF_INET)
-        with pytest.raises(ValueError):
-            list(trie.matches(p("2001:db8::/32")))
 
 
 class TestTraversal:
@@ -230,19 +189,6 @@ def test_matches_dict_model(operations):
     for prefix, value in model.items():
         assert trie[prefix] == value
     assert dict(trie.items()) == model
-
-
-@given(st.lists(prefix_strategy, min_size=1, max_size=30, unique=True))
-def test_matches_agrees_with_bruteforce(prefixes):
-    trie = PrefixTrie(AF_INET)
-    for prefix in prefixes:
-        trie[prefix] = str(prefix)
-    probe = prefixes[0]
-    expected = sorted(
-        (candidate for candidate in prefixes if candidate.contains(probe)),
-        key=lambda c: c.length,
-    )
-    assert [found for found, _ in trie.matches(probe)] == expected
 
 
 @given(st.lists(prefix_strategy, min_size=1, max_size=30, unique=True))

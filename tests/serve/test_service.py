@@ -1,89 +1,22 @@
-"""Tests for the transport-free atom query service and shard routing."""
+"""Tests for the transport-free atom query service and its history memo."""
+
+import sys
+import threading
 
 import pytest
 
-from repro.net.prefix import AF_INET, AF_INET6, Prefix
+from repro.core.atoms import AtomSet, PolicyAtom
+from repro.net.aspath import ASPath
+from repro.net.prefix import Prefix
 from repro.serve.cache import ResponseCache
-from repro.serve.service import (
-    AtomQueryService,
-    QueryError,
-    ShardRouter,
-    covering_prefix,
-)
+from repro.serve.http import encode_body
+from repro.serve.service import AtomQueryService, QueryError
+from repro.store import AtomStore
+from repro.store.writer import StoreWriter
 
 
 def p(text):
     return Prefix.parse(text)
-
-
-class TestCoveringPrefix:
-    def test_single_prefix_range(self):
-        assert covering_prefix(p("10.0.0.0/8"), p("10.0.0.0/8")) == p(
-            "10.0.0.0/8"
-        )
-
-    def test_sibling_endpoints(self):
-        cover = covering_prefix(p("10.0.0.0/9"), p("10.128.0.0/9"))
-        assert cover == p("10.0.0.0/8")
-
-    def test_contains_both_endpoints(self):
-        first, last = p("10.1.0.0/16"), p("10.200.0.0/24")
-        cover = covering_prefix(first, last)
-        assert cover.contains(first) and cover.contains(last)
-
-    def test_disjoint_range_degrades_to_default_route(self):
-        cover = covering_prefix(p("1.0.0.0/8"), p("200.0.0.0/8"))
-        assert cover.length == 0
-        assert cover == Prefix.from_host_bits(AF_INET, 0, 0)
-
-    def test_capped_by_endpoint_lengths(self):
-        # Endpoints share 16 leading bits but the first is only a /8:
-        # the cover cannot be longer than the shortest endpoint or it
-        # would not contain it.
-        cover = covering_prefix(p("10.0.0.0/8"), p("10.0.255.0/24"))
-        assert cover.contains(p("10.0.0.0/8"))
-        assert cover.length <= 8
-
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            covering_prefix(p("10.0.0.0/8"), p("2001:db8::/32"))
-
-    def test_v6(self):
-        cover = covering_prefix(p("2001:db8::/32"), p("2001:db8:ffff::/48"))
-        assert cover.family == AF_INET6
-        assert cover.contains(p("2001:db8:1234::/48"))
-
-
-class TestShardRouter:
-    def test_route_equals_linear_scan(self, served_store):
-        """Trie routing returns exactly the shards a full scan keeps."""
-        for entry in served_store.snapshots():
-            router = ShardRouter(entry)
-            probes = [shard.first for shard in entry.shards]
-            probes += [shard.last for shard in entry.shards]
-            probes += [p("0.0.0.0/0"), p("255.255.255.255/32")]
-            for probe in probes:
-                routed = router.route(probe)
-                expected = [
-                    shard for shard in entry.shards if shard.covers(probe)
-                ]
-                assert routed == expected, (entry.key, str(probe))
-
-    def test_route_all_stored_prefixes(self, served_store):
-        """Every stored prefix routes to at least its own shard."""
-        entry = served_store.snapshots()[0]
-        router = ShardRouter(entry)
-        for prefix in served_store.atoms(entry.key).by_prefix:
-            assert any(
-                shard.covers(prefix) for shard in router.route(prefix)
-            ), str(prefix)
-
-    def test_unknown_family_routes_nowhere(self, served_store):
-        entry = served_store.snapshots()[0]
-        families = {shard.first.family for shard in entry.shards}
-        if AF_INET6 in families:
-            pytest.skip("store has v6 shards")
-        assert ShardRouter(entry).route(p("2001:db8::/32")) == []
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +83,174 @@ class TestPrefixQuery:
         second = service.prefix_query(str(prefix))
         assert second == first
         assert cache.stats()["hits"] == hits_before + 1
+
+
+def all_prefixes(store):
+    found = set()
+    for entry in store.snapshots():
+        found.update(store.atoms(entry.key).by_prefix)
+    return sorted(found, key=Prefix.key)
+
+
+def expected_history(store, prefix):
+    """``(atom ids, present, path_changes)`` from the rebuilt atom sets."""
+    atom_ids, panels = [], []
+    for entry in store.snapshots():
+        atoms = store.atoms(entry.key)
+        atom = atoms.by_prefix.get(prefix)
+        atom_ids.append(None if atom is None else atom.atom_id)
+        panels.append(
+            None
+            if atom is None
+            else dict(zip(atoms.vantage_points, atom.paths))
+        )
+    changes = 0
+    for before, after in zip(panels, panels[1:]):
+        if before is not None and after is not None:
+            common = before.keys() & after.keys()
+            changes += any(
+                str(before[peer]) != str(after[peer]) for peer in common
+            )
+    present = sum(panel is not None for panel in panels)
+    return atom_ids, present, changes
+
+
+class TestHistory:
+    def test_every_prefix_under_every_key(self, served_store):
+        prefixes = all_prefixes(served_store)
+        service = AtomQueryService(
+            served_store, cache=ResponseCache(len(prefixes))
+        )
+        for prefix in prefixes:
+            atom_ids, present, changes = expected_history(served_store, prefix)
+            for entry in served_store.snapshots():
+                answer = service.prefix_query(str(prefix), snapshot=entry.key)
+                assert [
+                    row["atom_id"] for row in answer["history"]
+                ] == atom_ids, (str(prefix), entry.key)
+                assert answer["stability"]["present"] == present
+                assert answer["stability"]["path_changes"] == changes
+
+    def test_memo_answer_equals_fresh_service(self, served_store):
+        entries = served_store.snapshots()
+        prefix = str(all_prefixes(served_store)[0])
+        service = AtomQueryService(served_store, cache=ResponseCache(16))
+        service.prefix_query(prefix, snapshot=entries[0].key)
+        hits = service._history.cache_info().hits
+        memo = service.prefix_query(prefix, snapshot=entries[-1].key)
+        assert service._history.cache_info().hits == hits + 1
+        fresh = AtomQueryService(served_store).prefix_query(
+            prefix, snapshot=entries[-1].key
+        )
+        assert encode_body(memo) == encode_body(fresh)
+
+    def test_memo_is_bounded_by_cache_entries(self, served_store):
+        service = AtomQueryService(served_store, cache=ResponseCache(4))
+        prefixes = [str(prefix) for prefix in all_prefixes(served_store)[:10]]
+        first = service.prefix_query(prefixes[0])
+        for prefix in prefixes[1:]:
+            service.prefix_query(prefix)
+            assert service._history.cache_info().currsize <= 4
+        assert service._history.cache_info().maxsize == 4
+        misses = service._history.cache_info().misses
+        again = service.prefix_query(prefixes[0])
+        assert service._history.cache_info().misses == misses + 1
+        assert encode_body(again) == encode_body(first)
+
+    def test_concurrent_answers_equal_serial(self, served_store):
+        entries = served_store.snapshots()
+        requests = [
+            (str(prefix), entry.key)
+            for prefix in all_prefixes(served_store)[:12]
+            for entry in (entries[0], entries[-1])
+        ]
+        serial = AtomQueryService(served_store)
+        expected = [
+            encode_body(serial.prefix_query(cidr, snapshot=key))
+            for cidr, key in requests
+        ]
+        # A memo smaller than the working set keeps threads building and
+        # evicting histories while others read them.
+        shared = AtomQueryService(served_store, cache=ResponseCache(3))
+        wrong = []
+
+        def worker(offset):
+            try:
+                for _round in range(3):
+                    for step in range(len(requests)):
+                        index = (offset + step) % len(requests)
+                        cidr, key = requests[index]
+                        body = encode_body(
+                            shared.prefix_query(cidr, snapshot=key)
+                        )
+                        if body != expected[index]:
+                            wrong.append(requests[index])
+            except Exception as error:  # reported below
+                wrong.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
+A = ("rrc00", 65001, "10.0.0.1")
+B = ("rrc00", 65002, "10.0.0.2")
+C = ("rrc01", 65003, "10.0.0.3")
+
+
+class TestPanelChanges:
+    """``path_changes`` matches vantage points by identity, not position."""
+
+    def stability(self, tmp_path, panels):
+        """Store one snapshot per ``{vantage point: hops}`` panel."""
+        prefix = p("192.0.2.0/24")
+        writer = StoreWriter(tmp_path / "store")
+        for index, panel in enumerate(panels):
+            paths = tuple(ASPath.from_asns(hops) for hops in panel.values())
+            atoms = AtomSet(
+                [PolicyAtom(0, frozenset([prefix]), paths)],
+                list(panel),
+                timestamp=index,
+            )
+            writer.add_snapshot(f"s{index}", atoms)
+        writer.close()
+        with AtomStore(tmp_path / "store") as store:
+            answer = AtomQueryService(store).prefix_query(str(prefix))
+        return answer["stability"]
+
+    def test_dropped_vantage_point_is_no_change(self, tmp_path):
+        stability = self.stability(tmp_path, [
+            {A: [65001, 9], B: [65002, 9], C: [65003, 9]},
+            {A: [65001, 9], C: [65003, 9]},
+        ])
+        assert stability == {"snapshots": 2, "present": 2, "path_changes": 0}
+
+    def test_reordered_panel_is_no_change(self, tmp_path):
+        stability = self.stability(tmp_path, [
+            {A: [65001, 9], B: [65002, 9]},
+            {B: [65002, 9], A: [65001, 9]},
+        ])
+        assert stability["path_changes"] == 0
+
+    def test_common_vantage_point_change_counts(self, tmp_path):
+        stability = self.stability(tmp_path, [
+            {A: [65001, 9], B: [65002, 9]},
+            {A: [65001, 7, 9], C: [65003, 9]},
+            {A: [65001, 7, 9], C: [65003, 9]},
+        ])
+        assert stability == {"snapshots": 3, "present": 3, "path_changes": 1}
 
 
 class TestAtomQuery:

@@ -106,6 +106,23 @@ class TestTableDumpV2:
             list(read_mrt(stripped))
 
 
+    def test_nlri_length_beyond_family_rejected(self):
+        buffer = io.BytesIO()
+        writer = MRTWriter(buffer)
+        writer.write_peer_index([(65001, "10.0.0.1")])
+        index_length = len(buffer.getvalue())
+        writer.write_rib_entry(
+            Prefix.parse("10.0.0.0/8"), [(65001, "10.0.0.1", attrs([65001, 9]))]
+        )
+        data = bytearray(buffer.getvalue())
+        # RIB body: 4-byte sequence number, then the prefix length byte.
+        length_offset = index_length + 12 + 4
+        assert data[length_offset] == 8
+        data[length_offset] = 40
+        with pytest.raises(MRTError, match="NLRI length 40"):
+            list(read_mrt(io.BytesIO(bytes(data))))
+
+
 class TestBgp4mp:
     def test_update_roundtrip(self):
         bundle = attrs([65001, 2, 9], communities=[Community(2, 7)])
@@ -332,6 +349,31 @@ class TestBgp4mpValidation:
         records = list(read_mrt(io.BytesIO(bytes(chopped))))
         assert len(records) == 1
         assert records[0].is_corrupt
+
+    def test_nlri_length_beyond_family_flagged(self):
+        """An NLRI length byte above 32 is a counted corrupt record."""
+        from repro.obs import Tracer, use_tracer
+
+        buffer = io.BytesIO()
+        MRTWriter(buffer).write_update(
+            65001, "10.0.0.1",
+            announced=[
+                (Prefix.parse("10.1.2.0/24"), attrs([65001, 9])),
+                (Prefix.parse("10.1.3.0/24"), attrs([65001, 9])),
+            ],
+            timestamp=7,
+        )
+        data = bytearray(buffer.getvalue())
+        # The NLRI block closes the record: two 4-byte /24 entries.
+        assert data[-8] == 24
+        data[-8] = 40
+        tracer = Tracer()
+        with use_tracer(tracer):
+            records = list(read_mrt(io.BytesIO(bytes(data))))
+        assert len(records) == 1
+        assert records[0].is_corrupt
+        assert "NLRI length 40" in records[0].corrupt_warning
+        assert tracer.counters["decode.corrupt_records"] == 1
 
     def test_truncated_peer_header_flagged(self):
         import struct
