@@ -10,15 +10,16 @@ drives the ``repro live`` CLI through three phases:
    are compared against the ``live-soak`` key of
    ``trace_expectations.json`` (counters only, never timings — the
    same policy as ``check_trace_counters.py``);
-2. **kill** — the same stream stopped after ``--max-windows 2`` with a
+2. **kill** — the same stream stopped after ``--max-windows k`` with a
    checkpoint directory and a store sink, simulating a crash at a
-   window boundary;
-3. **resume** — the same invocation without the window cap; it must
-   pick up from the checkpoint and finish the stream.
+   window boundary, once for every boundary ``k`` but the last;
+3. **resume** — after each kill, the same invocation without the
+   window cap; it must pick up from the checkpoint and finish the
+   stream.
 
-The gate then requires the killed+resumed window sequence to equal the
-reference run's windows field-for-field, the final atom partition to
-match, and the store to hold one queryable snapshot per window.  Every
+The gate then requires every killed+resumed window sequence to equal
+the reference run's windows field-for-field, the final atom partition
+to match, and the store to hold one queryable snapshot per window.  Every
 window boundary of every phase additionally self-verifies streamed ==
 cold-recompute parity (``--parity window`` is the default; divergence
 exits non-zero on its own).
@@ -61,8 +62,9 @@ SCENARIO = "live-soak"
 #: Window width of the soak stream (seconds).
 WINDOW = 100
 
-#: Windows the kill phase is allowed to close before "crashing".
-KILL_AFTER = 2
+#: Windows each kill phase closes before "crashing": every boundary of
+#: the fixture's six windows but the last.
+KILL_AFTER = (1, 2, 3, 4, 5)
 
 PEERS = [
     ("rrc00", 1, "10.9.1.1"),
@@ -194,27 +196,9 @@ def run_live(archive_dir: Path, extra: List[str],
     return json.loads(buffer.getvalue())
 
 
-def soak(output_dir: Path) -> Dict:
-    """Run all three phases; returns the BENCH_live payload."""
-    archive_dir = output_dir / "live_fixture"
-    build_fixture(archive_dir)
-
-    trace_path = output_dir / "trace_live_soak.jsonl"
-    reference = run_live(archive_dir, [], trace=trace_path)
-    counters = {
-        name: value
-        for name, value in sorted(load_trace(trace_path).counters.items())
-        if name.startswith("live.")
-    }
-
-    ckpt = output_dir / "live_ckpt"
-    store = output_dir / "live_store"
-    shutil.rmtree(ckpt, ignore_errors=True)
-    shutil.rmtree(store, ignore_errors=True)
-    durable = ["--checkpoint-dir", str(ckpt), "--store-dir", str(store)]
-    killed = run_live(archive_dir, durable + ["--max-windows", str(KILL_AFTER)])
-    resumed = run_live(archive_dir, durable)
-
+def kill_resume_problems(reference: Dict, killed: Dict, resumed: Dict,
+                         store: Path) -> List[str]:
+    """How one killed+resumed pair differs from the uninterrupted run."""
     problems: List[str] = []
     if not killed["stopped_early"]:
         problems.append("kill phase ran the stream out instead of stopping")
@@ -249,6 +233,46 @@ def soak(output_dir: Path) -> Dict:
                 f"stored final partition has {len(last)} atoms, "
                 f"reference {reference['atoms']}"
             )
+    return problems
+
+
+def soak(output_dir: Path) -> Dict:
+    """Run all three phases; returns the BENCH_live payload."""
+    archive_dir = output_dir / "live_fixture"
+    build_fixture(archive_dir)
+
+    trace_path = output_dir / "trace_live_soak.jsonl"
+    reference = run_live(archive_dir, [], trace=trace_path)
+    counters = {
+        name: value
+        for name, value in sorted(load_trace(trace_path).counters.items())
+        if name.startswith("live.")
+    }
+
+    problems: List[str] = []
+    kills = []
+    shutil.rmtree(output_dir / "live_ckpt", ignore_errors=True)
+    shutil.rmtree(output_dir / "live_store", ignore_errors=True)
+    for kill_after in KILL_AFTER:
+        ckpt = output_dir / "live_ckpt" / f"after-{kill_after}"
+        store = output_dir / "live_store" / f"after-{kill_after}"
+        durable = ["--checkpoint-dir", str(ckpt), "--store-dir", str(store)]
+        killed = run_live(
+            archive_dir, durable + ["--max-windows", str(kill_after)]
+        )
+        resumed = run_live(archive_dir, durable)
+        problems += [
+            f"kill after window {kill_after}: {problem}"
+            for problem in kill_resume_problems(
+                reference, killed, resumed, store
+            )
+        ]
+        kills.append({
+            "kill_after": kill_after,
+            "resumed_from": resumed["resumed_from"],
+            "skipped": resumed["skipped"],
+            "checkpoints": killed["checkpoints"] + resumed["checkpoints"],
+        })
     if not counters.get("live.windows"):
         problems.append("reference trace carries no live.windows counter")
     if not counters.get("live.foreign_records"):
@@ -269,14 +293,7 @@ def soak(output_dir: Path) -> Dict:
             "prefixes": reference["prefixes"],
             "parity_checks": reference["parity_checks"],
         },
-        "kill_resume": {
-            "killed_windows": len(killed["windows"]),
-            "resumed_windows": len(resumed["windows"]),
-            "resumed_from": resumed["resumed_from"],
-            "skipped": resumed["skipped"],
-            "checkpoints": killed["checkpoints"] + resumed["checkpoints"],
-            "store_snapshots": snapshot_keys,
-        },
+        "kill_resume": kills,
         "problems": problems,
     }
 
@@ -332,7 +349,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{len(payload['counters'])} live counters match expectations; "
         f"{len(windows)} windows, parity verified at "
         f"{payload['reference']['parity_checks']} boundaries, "
-        "kill/resume equivalent to the uninterrupted run"
+        f"kill/resume after each of windows {KILL_AFTER[0]}-{KILL_AFTER[-1]} "
+        "equivalent to the uninterrupted run"
     )
     return 0
 

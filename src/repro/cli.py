@@ -27,7 +27,8 @@ Four subcommands mirror the measurement workflow:
 
 Commands that open a store (``store info/query``, ``serve``) exit with
 code 2 and a one-line ``store error:`` message when the store is
-missing or corrupt — never a traceback.
+missing or corrupt — never a traceback; ``repro live`` does the same
+with ``checkpoint error:`` for a checkpoint it cannot resume.
 
 ``repro atoms`` and ``repro trend`` accept ``--trace FILE.jsonl`` to
 record a structured trace of the run; output is byte-identical with or
@@ -51,7 +52,7 @@ from repro.core.formation import formation_distances
 from repro.core.pipeline import compute_policy_atoms
 from repro.core.statistics import general_stats
 from repro.engine.cache import ResultCache
-from repro.engine.checkpoint import CheckpointLog
+from repro.engine.checkpoint import CheckpointLog, StreamCheckpointError
 from repro.engine.jobs import SnapshotJob
 from repro.engine.metrics import progress_hook
 from repro.engine.scheduler import ExecutionEngine
@@ -456,6 +457,9 @@ def cmd_live(args: argparse.Namespace) -> int:
         run = pipeline.run(on_window=narrate if args.progress else None)
     except LiveError as error:
         print(f"live error: {error}", file=sys.stderr)
+        return 2
+    except StreamCheckpointError as error:
+        print(f"checkpoint error: {error}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(run.as_dict(), indent=1, sort_keys=True))

@@ -12,12 +12,10 @@ silently dropped on load; everything before it is preserved.
 
 :class:`StreamCheckpoint` is the live pipeline's counterpart
 (:mod:`repro.stream.live`): instead of appending completed jobs it
-replaces one *state* — the window cursor plus the full routing table
-at the last window boundary — atomically on every save.  A pipeline
-killed at any instant resumes from the last saved boundary: the RIB
-file is written (temp + rename) before ``state.json`` is swapped in,
-so the state file never references a partial table, and a kill between
-the two writes merely leaves the previous state in force.
+replaces one small *state* — the replay cursor at the last window
+boundary — atomically on every save.  It holds no routing table: a
+pipeline killed at any instant resumes by re-applying the stream's
+records up to the cursor, which rebuilds the boundary RIB exactly.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ import struct
 import uuid
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.messages import RouteRecord
 from repro.engine.jobs import (
     QuarterResult,
     result_from_payload,
@@ -93,8 +90,9 @@ class CheckpointLog:
 # Streaming checkpoints
 # ----------------------------------------------------------------------
 
-#: Schema version of the stream-checkpoint state file.
-STREAM_CHECKPOINT_VERSION = 1
+#: Schema version of the stream-checkpoint state file.  Version 1 also
+#: kept the whole RIB beside it; version 2 is the replay cursor alone.
+STREAM_CHECKPOINT_VERSION = 2
 
 #: Name of the state file inside a stream-checkpoint directory.
 STATE_NAME = "state.json"
@@ -105,81 +103,48 @@ class StreamCheckpointError(RuntimeError):
 
 
 class StreamCheckpoint:
-    """Atomically replaced window-boundary state for a live pipeline.
+    """Atomically replaced replay cursor for a live pipeline.
 
-    Layout under ``directory``::
+    The directory holds one file, ``state.json``: the last saved
+    window's index and end, the config payload, and the resume
+    bookkeeping the pipeline owns (``meta``: records consumed, a digest
+    of their identities, the vantage-point panel).  No routing table is
+    stored — a resumed pipeline re-reads the stream up to the cursor,
+    and applying those records rebuilds the boundary RIB exactly.
 
-        state.json          # cursor: window index/end, counters, config
-        rib-<index>.jsonl.gz  # full RIB at that boundary, one record/peer
-
-    :meth:`save` writes the RIB file first, then swaps ``state.json``
-    in via temp file + ``os.replace`` and finally deletes the previous
-    boundary's RIB file — so at every instant the on-disk state file
-    references a complete table, and a kill anywhere loses at most the
-    window in flight.  :meth:`load` returns None when no checkpoint
-    exists and raises :class:`StreamCheckpointError` when the saved
-    ``config`` digest disagrees with the resuming pipeline's (resuming
-    under a different window size or shard count would silently change
-    results).
+    :meth:`save` swaps ``state.json`` in via temp file + ``os.replace``,
+    so a kill anywhere leaves the previous state or the new one, losing
+    at most the window in flight.  :meth:`load` returns None when no
+    checkpoint exists and raises :class:`StreamCheckpointError` when
+    the file is corrupt, of another version, or was saved under a
+    different ``config`` (resuming under a different window size would
+    silently change results).
     """
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
 
-    # -- paths ----------------------------------------------------------
-
     def _state_path(self) -> Path:
         return self.directory / STATE_NAME
-
-    def _rib_path(self, window_index: int) -> Path:
-        return self.directory / f"rib-{window_index:08d}.jsonl.gz"
-
-    # -- save -----------------------------------------------------------
 
     def save(
         self,
         window_index: int,
         window_end: int,
-        records: List[RouteRecord],
         config: Dict[str, Any],
-        counters: Optional[Dict[str, int]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Path:
         """Persist one window boundary; returns the state-file path.
 
-        ``records`` must reconstruct the boundary RIB when replayed in
-        order (one synthetic ``rib`` record per peer is the convention).
-        ``config`` is stored verbatim and checked on resume; ``meta``
-        carries resume bookkeeping the pipeline owns (replay position,
-        vantage points) and is returned untouched.
+        ``config`` is stored verbatim and checked on resume; ``meta`` is
+        returned untouched by :meth:`load`.
         """
-        # Local import: repro.stream's package init pulls in the live
-        # pipeline, which imports this module back — a top-level import
-        # here would close that cycle during interpreter start-up.
-        from repro.stream.serialize import record_to_json
-
         self.directory.mkdir(parents=True, exist_ok=True)
-        rib_path = self._rib_path(window_index)
-        tmp = rib_path.parent / f"{rib_path.name}.tmp{os.getpid()}"
-        try:
-            with gzip.open(tmp, "wt", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(record_to_json(record))
-                    handle.write("\n")
-            os.replace(tmp, rib_path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
         state = {
             "version": STREAM_CHECKPOINT_VERSION,
             "window_index": window_index,
             "window_end": window_end,
-            "rib_file": rib_path.name,
             "config": config,
-            "counters": dict(counters or {}),
             "meta": dict(meta or {}),
         }
         state_path = self._state_path()
@@ -196,28 +161,16 @@ class StreamCheckpoint:
                     state_tmp.unlink()
                 except OSError:  # pragma: no cover - best effort
                     pass
-        self._sweep_stale_ribs(keep=rib_path.name)
         return state_path
-
-    def _sweep_stale_ribs(self, keep: str) -> None:
-        """Delete boundary RIB files other than the referenced one."""
-        for path in self.directory.glob("rib-*.jsonl.gz"):
-            if path.name != keep:
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
-
-    # -- load -----------------------------------------------------------
 
     def load(
         self, config: Optional[Dict[str, Any]] = None
-    ) -> Optional[Tuple[Dict[str, Any], List[RouteRecord]]]:
-        """The saved ``(state, boundary records)``, or None when absent.
+    ) -> Optional[Dict[str, Any]]:
+        """The saved state, or None when absent.
 
         When ``config`` is given it must equal the saved one — a
-        resumed pipeline must window and shard exactly like the run
-        that wrote the checkpoint.
+        resumed pipeline must window exactly like the run that wrote
+        the checkpoint.
         """
         state_path = self._state_path()
         try:
@@ -225,16 +178,17 @@ class StreamCheckpoint:
         except FileNotFoundError:
             return None
         try:
-            state: Dict[str, Any] = json.loads(raw)
+            state = json.loads(raw)
         except ValueError as error:
             raise StreamCheckpointError(
                 f"corrupt checkpoint state {state_path}: {error}"
             ) from error
-        version = state.get("version")
+        version = state.get("version") if isinstance(state, dict) else None
         if version != STREAM_CHECKPOINT_VERSION:
             raise StreamCheckpointError(
                 f"unsupported checkpoint version {version!r} "
-                f"(this build reads v{STREAM_CHECKPOINT_VERSION})"
+                f"(this build reads v{STREAM_CHECKPOINT_VERSION}); "
+                "start from a fresh --checkpoint-dir"
             )
         if config is not None and state.get("config") != config:
             raise StreamCheckpointError(
@@ -242,32 +196,14 @@ class StreamCheckpoint:
                 "configuration; resume with the original settings or "
                 "start from a fresh --checkpoint-dir"
             )
-        rib_path = self.directory / str(state.get("rib_file", ""))
-        try:
-            records = list(self._read_records(rib_path))
-        except (OSError, EOFError, ValueError) as error:
-            raise StreamCheckpointError(
-                f"cannot read checkpoint RIB {rib_path}: {error}"
-            ) from error
-        return state, records
-
-    @staticmethod
-    def _read_records(path: Path) -> Iterator[RouteRecord]:
-        from repro.stream.serialize import record_from_json
-
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield record_from_json(line)
+        return state
 
     def clear(self) -> None:
-        """Forget the saved state (state file and boundary RIBs)."""
+        """Forget the saved state."""
         try:
             self._state_path().unlink()
         except FileNotFoundError:
             pass
-        self._sweep_stale_ribs(keep="")
 
 
 # ----------------------------------------------------------------------
@@ -297,10 +233,10 @@ class WorldCheckpoint:
     and the exact ``advance_to`` cadence applied since — the invariant
     the engine's per-process world cache already relies on.  This class
     makes that lineage durable: :meth:`save` snapshots a world at its
-    applied cadence (atomic tmp+replace, digest-stamped like
-    :class:`StreamCheckpoint`), and :meth:`restore` hands a freshly
-    forked worker the *nearest* saved prefix of a job's warmup so the
-    cold start replays only the gap instead of the whole history.
+    applied cadence (atomic tmp+replace, digest-stamped), and
+    :meth:`restore` hands a freshly forked worker the *nearest* saved
+    prefix of a job's warmup so the cold start replays only the gap
+    instead of the whole history.
 
     File names are fully content-addressed —
     ``world-<lineage16>-<length>-<cadence digest12>.ckpt`` — so lookup

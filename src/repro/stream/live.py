@@ -19,18 +19,25 @@ fresh intern pool.
 
 Crash safety comes from
 :class:`~repro.engine.checkpoint.StreamCheckpoint`: every
-``checkpoint_every`` boundaries the pipeline dumps its RIB and the
-replay position atomically.  A killed pipeline resumes from the last
-saved boundary by *position* (records consumed), not by timestamp —
-out-of-order records across dump boundaries make timestamp-based
-skipping diverge from an uninterrupted run, position never does.
-See ``docs/streaming.md``.
+``checkpoint_every`` boundaries the pipeline saves its replay cursor —
+records consumed, a SHA-256 of their identities, the vantage points —
+atomically.  A killed pipeline resumes by *position*, not by
+timestamp: it primes from the leading dump as a fresh run does, then
+re-applies every record up to the cursor, which rebuilds the boundary
+RIB exactly (out-of-order records across dump boundaries make
+timestamp-based skipping diverge from an uninterrupted run, position
+never does).  A stream whose records up to the cursor differ from the
+saved digest fails with
+:class:`~repro.engine.checkpoint.StreamCheckpointError`.  See
+``docs/streaming.md``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import (
     Any,
@@ -41,14 +48,15 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
+    Tuple,
 )
 
-from repro.bgp.messages import ElementType, RouteElement, RouteRecord
+from repro.bgp.messages import ElementType, RouteRecord
 from repro.bgp.rib import PeerId, RIBSnapshot
 from repro.core.atoms import AtomSet, compute_atoms
 from repro.core.incremental import AtomIndex
-from repro.engine.checkpoint import StreamCheckpoint
-from repro.net.prefix import Prefix
+from repro.engine.checkpoint import StreamCheckpoint, StreamCheckpointError
 from repro.obs import TracerLike, get_tracer
 from repro.store.writer import MANIFEST_NAME, PARTS_DIR, merge_parts, write_part
 from repro.stream.windows import (
@@ -138,9 +146,10 @@ class LiveRun:
     vantage_points: List[PeerId]
     #: stream records folded into windows (this run only)
     records: int = 0
-    #: records that primed the initial RIB (source dump or checkpoint)
+    #: leading-dump records applied to the initial RIB (resumed or not)
     prime_records: int = 0
-    #: already-consumed records skipped while resuming
+    #: records consumed before the checkpoint's cursor, prime included,
+    #: re-applied while resuming
     skipped: int = 0
     resumed: bool = False
     #: window index of the checkpoint the run resumed from
@@ -192,9 +201,19 @@ class LivePipeline:
             [tuple(vp) for vp in vantage_points] if vantage_points else None
         )
         self._vps: List[PeerId] = []
-        self._projects: Dict[PeerId, str] = {}
         self._snapshot = RIBSnapshot()
+        #: the replay cursor: records consumed and a digest of them
         self._consumed = 0
+        self._digest = hashlib.sha256()
+
+    def _consume(self, record: RouteRecord) -> None:
+        """Advance the replay cursor past ``record``."""
+        self._consumed += 1
+        identity = (
+            f"{record.record_type}\t{record.collector}\t{record.peer_asn}\t"
+            f"{record.peer_address}\t{record.timestamp}\t{len(record.elements)}\n"
+        )
+        self._digest.update(identity.encode())
 
     def _apply(self, record: RouteRecord) -> int:
         """Fold one record's elements into the RIB; returns how many.
@@ -244,36 +263,6 @@ class LivePipeline:
 
     # -- checkpoint / store ---------------------------------------------
 
-    def _boundary_records(self, window_end: int) -> List[RouteRecord]:
-        """The RIB as one ``rib`` record per vantage point.
-
-        Every vantage point appears (empty when it carries no routes),
-        so checkpoints preserve VP identity even for dried-up feeds.
-        """
-        records = []
-        for peer_id in sorted(self._vps):
-            collector, peer_asn, peer_address = peer_id
-            table = self._snapshot.table(peer_id)
-            routes = table._routes if table is not None else {}
-            elements = [
-                RouteElement(ElementType.RIB, prefix, attributes)
-                for prefix, attributes in sorted(
-                    routes.items(), key=lambda item: Prefix.key(item[0])
-                )
-            ]
-            records.append(
-                RouteRecord(
-                    "rib",
-                    self._projects.get(peer_id, "unknown"),
-                    collector,
-                    peer_asn,
-                    peer_address,
-                    window_end,
-                    elements,
-                )
-            )
-        return records
-
     def _save_checkpoint(
         self,
         checkpoint: StreamCheckpoint,
@@ -285,15 +274,40 @@ class LivePipeline:
             checkpoint.save(
                 window_index,
                 window_end,
-                self._boundary_records(window_end),
                 self.config.payload(),
                 meta={
                     "records_consumed": self._consumed,
+                    "stream_digest": self._digest.hexdigest(),
                     "vantage_points": [list(vp) for vp in self._vps],
                 },
             )
             if tracer.enabled:
                 tracer.count("live.checkpoints")
+
+    def _fast_forward(
+        self,
+        source: Iterator[RouteRecord],
+        vp_set: Set[PeerId],
+        cursor: int,
+        digest: str,
+    ) -> None:
+        """Re-apply the records a checkpointed run consumed before its
+        cursor; the stream must be the one the checkpoint was saved on."""
+        for record in islice(source, max(0, cursor - self._consumed)):
+            self._consume(record)
+            if record.peer_id in vp_set:
+                self._apply(record)
+        if self._consumed < cursor:
+            raise StreamCheckpointError(
+                f"stream ended after {self._consumed} records, before the "
+                f"checkpoint's cursor at {cursor}"
+            )
+        if self._consumed != cursor or self._digest.hexdigest() != digest:
+            raise StreamCheckpointError(
+                f"the stream's first {cursor} records differ from those "
+                "the checkpoint was saved on; resume over the same archive "
+                "or start from a fresh --checkpoint-dir"
+            )
 
     def _write_store_window(
         self,
@@ -365,53 +379,40 @@ class LivePipeline:
         # inside it; lazily opened mrt-decode spans then nest properly.
         run_span = tracer.span("live-run").__enter__()
         try:
-            # Resume or prime --------------------------------------------
+            state = checkpoint.load(config=config.payload()) if checkpoint else None
+            # Prime from the leading dump, resumed or not.
             iterator = iter(self.records)
+            source: Iterator[RouteRecord] = iterator
             prime: List[RouteRecord] = []
-            pending: Optional[RouteRecord] = None
-            skip = 0
-            resumed = False
+            for record in iterator:
+                if record.record_type != "rib":
+                    source = _chain_one(record, iterator)
+                    break
+                prime.append(record)
             resumed_from: Optional[int] = None
-            prime_counts_consumed = False
-            loaded = checkpoint.load(config=config.payload()) if checkpoint else None
-            if loaded is not None:
-                state, prime = loaded
-                meta = state.get("meta", {})
-                self._vps = [tuple(vp) for vp in meta.get("vantage_points", [])]
-                skip = int(meta.get("records_consumed", 0))
-                resumed = True
-                resumed_from = int(state["window_index"])
+            if state is not None:
+                resumed_from, cursor, digest, self._vps = _cursor(state)
                 if self._explicit_vps and self._explicit_vps != self._vps:
                     raise LiveError(
                         "explicit vantage points disagree with the "
                         "checkpoint's"
                     )
+            elif self._explicit_vps is not None:
+                self._vps = list(self._explicit_vps)
             else:
-                prime_counts_consumed = True
-                for record in iterator:
-                    if record.record_type != "rib":
-                        pending = record
-                        break
-                    prime.append(record)
-                if self._explicit_vps is not None:
-                    self._vps = list(self._explicit_vps)
-                else:
-                    self._vps = sorted({record.peer_id for record in prime})
-                if not self._vps:
-                    raise LiveError(
-                        "stream carries no leading RIB dump and no explicit "
-                        "vantage points were given"
-                    )
+                self._vps = sorted({record.peer_id for record in prime})
+            if not self._vps:
+                raise LiveError(
+                    "stream carries no leading RIB dump and no explicit "
+                    "vantage points were given"
+                )
             vp_set = set(self._vps)
-            for record in prime:
-                if record.peer_id in vp_set:
-                    self._projects[record.peer_id] = record.project
 
             run = LiveRun(
                 windows=[],
                 atoms=None,
                 vantage_points=list(self._vps),
-                resumed=resumed,
+                resumed=state is not None,
                 resumed_from=resumed_from,
             )
             store_keys = self._existing_store_keys()
@@ -425,16 +426,18 @@ class LivePipeline:
                 strip_prepending=config.strip_prepending,
             )
 
-            # Prime the RIB and take the initial partition.
+            # Prime the RIB, bring a resumed run up to its cursor, and
+            # take the initial partition.
             for record in prime:
-                if record.peer_id not in vp_set:
-                    continue
-                self._apply(record)
-                run.prime_records += 1
-                if prime_counts_consumed:
-                    self._consumed += 1
+                self._consume(record)
+                if record.peer_id in vp_set:
+                    self._apply(record)
+                    run.prime_records += 1
             if tracer.enabled and run.prime_records:
                 tracer.count("live.prime_records", run.prime_records)
+            if state is not None:
+                self._fast_forward(source, vp_set, cursor, digest)
+                run.skipped = self._consumed
             previous_atoms = index.atoms()
 
             # Window state.
@@ -538,17 +541,9 @@ class LivePipeline:
                         on_window(result)
 
             # The stream proper.
-            source: Iterator[RouteRecord] = iterator
-            if pending is not None:
-                source = _chain_one(pending, iterator)
             for record in source:
-                if skip > 0:
-                    skip -= 1
-                    self._consumed += 1
-                    run.skipped += 1
-                    continue
                 if record.peer_id not in vp_set:
-                    self._consumed += 1
+                    self._consume(record)
                     if tracer.enabled:
                         tracer.count("live.foreign_records")
                     continue
@@ -568,11 +563,10 @@ class LivePipeline:
                         timestamp // config.window_seconds * config.window_seconds
                     )
                     window_end = window_start + config.window_seconds
-                self._projects.setdefault(record.peer_id, record.project)
                 applied = self._apply(record)
                 stats.fold(record, applied, window_start or 0)
                 run.records += 1
-                self._consumed += 1
+                self._consume(record)
 
             if not stopped and window_end is not None:
                 close_window(window_end)
@@ -601,7 +595,7 @@ class LivePipeline:
                 run_span.set(windows=len(run.windows), records=run.records)
         finally:
             run_span.__exit__(None, None, None)
-        if run.atoms is None and run.prime_records:
+        if run.atoms is None and (run.prime_records or run.skipped):
             run.atoms = previous_atoms
         return run
 
@@ -641,6 +635,23 @@ class _WindowStats:
             self.late += 1
         if record.record_type == "update":
             self.update_records.append(record)
+
+
+def _cursor(state: Dict[str, Any]) -> Tuple[int, int, str, List[PeerId]]:
+    """(window index, records consumed, stream digest, vantage points)
+    of a loaded checkpoint state."""
+    try:
+        meta = state["meta"]
+        return (
+            int(state["window_index"]),
+            int(meta["records_consumed"]),
+            str(meta["stream_digest"]),
+            [tuple(vp) for vp in meta["vantage_points"]],
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise StreamCheckpointError(
+            f"checkpoint state has no valid cursor: {error!r}"
+        ) from error
 
 
 def _chain_one(

@@ -118,6 +118,8 @@ def _decode_as_path(data: "bytes | memoryview", asn_size: int) -> ASPath:
         segment_type = data[offset]
         count = data[offset + 1]
         offset += 2
+        if not count:
+            raise MRTError("empty AS_PATH segment")
         if offset + count * asn_size > end:
             raise MRTError("AS_PATH ASN truncated")
         # One unpack for the whole segment (struct caches the compiled
@@ -127,6 +129,9 @@ def _decode_as_path(data: "bytes | memoryview", asn_size: int) -> ASPath:
         offset += count * asn_size
         if segment_type not in (1, 2):
             raise MRTError(f"unknown AS_PATH segment type {segment_type}")
+        if 0 in asns:
+            # RFC 7607: an AS_PATH carrying AS 0 is malformed.
+            raise MRTError("AS 0 in AS_PATH")
         segments.append(
             PathSegment(
                 SegmentType.AS_SET if segment_type == 1 else SegmentType.AS_SEQUENCE,
@@ -203,6 +208,9 @@ def _decode_attributes(
                     )
                 )
         elif type_code == ATTR_MP_REACH_NLRI:
+            # AFI, SAFI, next-hop length, next hop, reserved byte.
+            if length < 5 or length < 5 + body[3]:
+                raise MRTError("MP_REACH_NLRI truncated")
             afi = _U16.unpack_from(body, 0)[0]
             next_hop_length = body[3]
             pos = 4 + next_hop_length + 1  # skip next hop + reserved byte
@@ -211,6 +219,8 @@ def _decode_attributes(
                 prefix, pos = _decode_nlri(body, pos, family)
                 v6_announced.append(prefix)
         elif type_code == ATTR_MP_UNREACH_NLRI:
+            if length < 3:
+                raise MRTError("MP_UNREACH_NLRI truncated")
             afi = _U16.unpack_from(body, 0)[0]
             pos = 3
             family = AF_INET6 if afi == AFI_IPV6 else AF_INET
@@ -300,7 +310,12 @@ class MRTReader:
                 mrt_type = MRT_BGP4MP
             if mrt_type == MRT_TABLE_DUMP_V2:
                 if subtype == TDV2_PEER_INDEX_TABLE:
-                    self._load_peer_index(body)
+                    try:
+                        self._load_peer_index(body)
+                    except (struct.error, IndexError) as error:
+                        raise MRTError(
+                            f"truncated PEER_INDEX_TABLE: {error}"
+                        ) from error
                     continue
                 if subtype in (TDV2_RIB_IPV4_UNICAST, TDV2_RIB_IPV6_UNICAST):
                     yield from self._rib_records(body, subtype, timestamp)
@@ -339,6 +354,7 @@ class MRTReader:
                 raw = body[offset : offset + 4]
                 offset += 4
                 address = ".".join(str(b) for b in raw)
+            # A short address leaves the ASN read below past the end.
             if peer_type & 0x02:
                 asn = _U32.unpack_from(body, offset)[0]
                 offset += 4
@@ -353,14 +369,20 @@ class MRTReader:
         family = AF_INET if subtype == TDV2_RIB_IPV4_UNICAST else AF_INET6
         offset = 4  # sequence number
         prefix, offset = _decode_nlri(body, offset, family)
+        if offset + 2 > len(body):
+            raise MRTError("RIB entry count truncated")
         entry_count = _U16.unpack_from(body, offset)[0]
         offset += 2
         for _ in range(entry_count):
+            if offset + 8 > len(body):
+                raise MRTError("RIB entry header truncated")
             peer_index = _U16.unpack_from(body, offset)[0]
             offset += 2 + 4  # + originated time
             attr_length = _U16.unpack_from(body, offset)[0]
             offset += 2
             attr_block = body[offset : offset + attr_length]
+            if len(attr_block) != attr_length:
+                raise MRTError("RIB entry attributes truncated")
             offset += attr_length
             try:
                 peer_asn, peer_address = self._peers[peer_index]

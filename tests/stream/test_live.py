@@ -6,6 +6,9 @@ between atoms, withdrawals, out-of-order arrivals, and new prefixes —
 the churn the incremental machinery exists for.
 """
 
+import json
+from itertools import chain
+
 import pytest
 
 from repro.bgp.attributes import PathAttributes
@@ -13,9 +16,11 @@ from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.bgp.rib import RIBSnapshot
 from repro.core.atoms import compute_atoms
 from repro.core.incremental import AtomIndex
+from repro.engine.checkpoint import STATE_NAME, StreamCheckpointError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.store import AtomStore
+from repro.stream.archive import RecordArchive
 from repro.stream.live import (
     LiveConfig,
     LiveError,
@@ -271,17 +276,19 @@ class TestCheckpointResume:
         assert_atoms_equal(resumed.atoms, reference.atoms)
 
     def test_kill_and_resume_matches_uninterrupted_run(self, tmp_path):
-        config = LiveConfig(
-            window_seconds=W, checkpoint_dir=tmp_path / "ckpt", max_windows=2
-        )
-        killed = LivePipeline(full_stream(), config).run()
-        assert killed.stopped_early and killed.checkpoints >= 2
+        """A kill at every boundary but the last resumes exactly."""
+        for kill_after in range(1, len(self._reference().windows)):
+            ckpt = tmp_path / f"after-{kill_after}"
+            killed = LivePipeline(full_stream(), LiveConfig(
+                window_seconds=W, checkpoint_dir=ckpt, max_windows=kill_after
+            )).run()
+            assert killed.stopped_early and killed.checkpoints == kill_after
 
-        resume = LiveConfig(window_seconds=W, checkpoint_dir=tmp_path / "ckpt")
-        resumed = LivePipeline(full_stream(), resume).run()
-        assert resumed.resumed and resumed.resumed_from == 2
-        assert resumed.skipped > 0
-        self._assert_resumes_like_reference(killed, resumed)
+            resume = LiveConfig(window_seconds=W, checkpoint_dir=ckpt)
+            resumed = LivePipeline(full_stream(), resume).run()
+            assert resumed.resumed and resumed.resumed_from == kill_after
+            assert resumed.skipped > len(prime_records())
+            self._assert_resumes_like_reference(killed, resumed)
 
     def test_kill_via_on_window_exception(self, tmp_path):
         class Kill(Exception):
@@ -309,6 +316,81 @@ class TestCheckpointResume:
         assert again.skipped == finished.records + finished.prime_records
         assert_atoms_equal(again.atoms, finished.atoms)
 
+    def test_dump_records_outside_the_panel_count_toward_the_cursor(
+        self, tmp_path
+    ):
+        """The cursor counts every consumed record, so a resumed run
+        re-applies none of them: PEERS[2]'s dump record is consumed but
+        sits outside the explicit panel."""
+        vps = PEERS[:2]
+        reference = LivePipeline(
+            full_stream(), LiveConfig(window_seconds=W), vantage_points=vps
+        ).run()
+        killed = LivePipeline(full_stream(), LiveConfig(
+            window_seconds=W, checkpoint_dir=tmp_path / "c", max_windows=1
+        ), vantage_points=vps).run()
+        resumed = LivePipeline(
+            full_stream(),
+            LiveConfig(window_seconds=W, checkpoint_dir=tmp_path / "c"),
+            vantage_points=vps,
+        ).run()
+        combined = killed.windows + resumed.windows
+        assert [w.index for w in combined] == [1, 2, 3]
+        assert [w.as_dict(deterministic_only=True) for w in combined] == [
+            w.as_dict(deterministic_only=True) for w in reference.windows
+        ]
+        assert resumed.skipped == len(prime_records()) + 2
+        assert_atoms_equal(resumed.atoms, reference.atoms)
+
+    def test_withdrawn_vantage_point_stays_in_resumed_panel(self, tmp_path):
+        """A feed whose routes were all withdrawn before the checkpoint
+        keeps its place in the panel (and in every atom's path vector)."""
+        everything = [f"10.0.{i}.0/24" for i in range(1, 7)]
+        stream = prime_records() + [
+            update_record(PEERS[2], 110, withdrawn=everything),
+            update_record(PEERS[0], 210, announced=[("10.0.2.0/24", "1 7 9")]),
+        ]
+        reference = LivePipeline(stream, LiveConfig(window_seconds=W)).run()
+        LivePipeline(stream, LiveConfig(
+            window_seconds=W, checkpoint_dir=tmp_path / "c", max_windows=1
+        )).run()
+        resumed = LivePipeline(stream, LiveConfig(
+            window_seconds=W, checkpoint_dir=tmp_path / "c"
+        )).run()
+        assert resumed.vantage_points == PEERS
+        assert list(resumed.atoms.vantage_points) == PEERS
+        assert_atoms_equal(resumed.atoms, reference.atoms)
+
+    def test_stream_shorter_than_the_cursor_is_refused(self, tmp_path):
+        config = LiveConfig(
+            window_seconds=W, checkpoint_dir=tmp_path / "c", max_windows=2
+        )
+        LivePipeline(full_stream(), config).run()
+        resume = LiveConfig(window_seconds=W, checkpoint_dir=tmp_path / "c")
+        with pytest.raises(StreamCheckpointError, match="before the checkpoint"):
+            LivePipeline(full_stream()[:6], resume).run()
+
+    def test_leading_dump_past_the_cursor_is_refused(self, tmp_path):
+        config = LiveConfig(
+            window_seconds=W, checkpoint_dir=tmp_path / "c", max_windows=1
+        )
+        LivePipeline(full_stream(), config).run()
+        longer_dump = prime_records() * 3 + churny_updates()
+        with pytest.raises(StreamCheckpointError, match="differ"):
+            LivePipeline(longer_dump, config).run()
+
+    def test_state_without_a_cursor_is_refused(self, tmp_path):
+        config = LiveConfig(
+            window_seconds=W, checkpoint_dir=tmp_path / "c", max_windows=1
+        )
+        LivePipeline(full_stream(), config).run()
+        state_path = tmp_path / "c" / STATE_NAME
+        state = json.loads(state_path.read_text())
+        del state["meta"]["stream_digest"]
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(StreamCheckpointError, match="no valid cursor"):
+            LivePipeline(full_stream(), config).run()
+
     def test_explicit_vps_must_match_checkpoint(self, tmp_path):
         config = LiveConfig(
             window_seconds=W, checkpoint_dir=tmp_path / "c", max_windows=1
@@ -319,6 +401,61 @@ class TestCheckpointResume:
             LivePipeline(
                 full_stream(), resume, vantage_points=[PEERS[0]]
             ).run()
+
+
+def archive_stream(archive):
+    """The archive replayed the way ``repro live`` reads it."""
+    return chain(
+        archive.records(record_type="rib"),
+        archive.records(record_type="update"),
+    )
+
+
+class TestResumeChecksTheStream:
+    """A cursor means something only over the records it counted."""
+
+    @pytest.mark.parametrize("edit", ["none", "timestamp", "delete-dump"])
+    def test_archive_edited_between_kill_and_resume(self, tmp_path, edit):
+        archive = RecordArchive(tmp_path / "archive")
+        archive.write_dump(prime_records())
+        for window in (1, 2, 3):
+            archive.write_dump(
+                [r for r in churny_updates() if r.timestamp // W == window]
+            )
+        reference = LivePipeline(
+            archive_stream(archive), LiveConfig(window_seconds=W)
+        ).run()
+        ckpt = tmp_path / "c"
+        killed = LivePipeline(archive_stream(archive), LiveConfig(
+            window_seconds=W, checkpoint_dir=ckpt, max_windows=2
+        )).run()
+
+        # Window 1's dump lies wholly before the cursor.
+        _, _, _, stamp, first_dump = archive.dumps(record_type="update")[0]
+        if edit == "timestamp":
+            first, *rest = archive.read_file(first_dump)
+            moved = RouteRecord(
+                first.record_type, first.project, first.collector,
+                first.peer_asn, first.peer_address, first.timestamp + 10,
+                first.elements,
+            )
+            assert archive.write_dump(
+                [moved, *rest], dump_timestamp=stamp
+            ) == [first_dump]
+        elif edit == "delete-dump":
+            first_dump.unlink()
+
+        resume = LiveConfig(window_seconds=W, checkpoint_dir=ckpt)
+        if edit == "none":
+            resumed = LivePipeline(archive_stream(archive), resume).run()
+            combined = killed.windows + resumed.windows
+            assert [w.as_dict(deterministic_only=True) for w in combined] == [
+                w.as_dict(deterministic_only=True) for w in reference.windows
+            ]
+            assert_atoms_equal(resumed.atoms, reference.atoms)
+        else:
+            with pytest.raises(StreamCheckpointError, match="differ"):
+                LivePipeline(archive_stream(archive), resume).run()
 
 
 class TestStoreSink:

@@ -198,6 +198,52 @@ class TestStoreErrorExits:
         assert args.check is True
 
 
+class TestLiveCheckpointErrorExits:
+    """A checkpoint ``repro live`` cannot resume exits 2 with one
+    ``checkpoint error:`` line — no traceback."""
+
+    def _killed_run(self, tmp_path):
+        from repro.stream.archive import RecordArchive
+        from tests.stream.test_live import full_stream
+
+        archive = tmp_path / "archive"
+        RecordArchive(archive).write_dump(full_stream())
+        ckpt = tmp_path / "ckpt"
+        argv = ["live", "--archive", str(archive), "--window", "100",
+                "--checkpoint-dir", str(ckpt)]
+        assert main(argv + ["--max-windows", "1"]) == 0
+        return argv, ckpt
+
+    def _assert_one_line(self, capsys, argv, fragment):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("checkpoint error:")
+        assert len(err.strip().splitlines()) == 1
+        assert fragment in err
+
+    def test_config_mismatch(self, tmp_path, capsys):
+        argv, _ = self._killed_run(tmp_path)
+        argv[argv.index("--window") + 1] = "60"
+        self._assert_one_line(capsys, argv, "different live configuration")
+
+    def test_corrupt_state_file(self, tmp_path, capsys):
+        argv, ckpt = self._killed_run(tmp_path)
+        (ckpt / "state.json").write_text("{not json", encoding="utf-8")
+        self._assert_one_line(capsys, argv, "corrupt checkpoint state")
+
+    def test_version_1_checkpoint_directory(self, tmp_path, capsys):
+        import json
+
+        argv, ckpt = self._killed_run(tmp_path)
+        state = json.loads((ckpt / "state.json").read_text())
+        state.update(version=1, rib_file="rib-00000001.jsonl.gz")
+        (ckpt / "state.json").write_text(json.dumps(state))
+        (ckpt / "rib-00000001.jsonl.gz").write_bytes(b"")
+        self._assert_one_line(capsys, argv, "checkpoint version 1 ")
+
+
 class TestConverge:
     """``repro converge`` runs the event engine end to end."""
 
