@@ -6,10 +6,12 @@ fixture is authored here: path flaps, withdrawals, re-announcements,
 prefix births, a foreign peer and a withdraw-before-announce), then
 drives the ``repro live`` CLI through three phases:
 
-1. **reference** — an uninterrupted traced run; its ``live.*`` counters
-   are compared against the ``live-soak`` key of
-   ``trace_expectations.json`` (counters only, never timings — the
-   same policy as ``check_trace_counters.py``);
+1. **reference** — an uninterrupted traced run; its ``live.*`` and
+   ``decode.*`` counters (the latter pin how many distinct paths and
+   attribute bundles the archive read decoded) are compared against
+   the ``live-soak`` key of ``trace_expectations.json`` (counters
+   only, never timings — the same policy as
+   ``check_trace_counters.py``);
 2. **kill** — the same stream stopped after ``--max-windows k`` with a
    checkpoint directory and a store sink, simulating a crash at a
    window boundary, once for every boundary ``k`` but the last;
@@ -58,6 +60,9 @@ EXPECTATIONS = HERE / "trace_expectations.json"
 
 #: Expectations key owned by this harness.
 SCENARIO = "live-soak"
+
+#: Counter families the reference run gates.
+GATED_PREFIXES = ("live.", "decode.")
 
 #: Window width of the soak stream (seconds).
 WINDOW = 100
@@ -246,7 +251,7 @@ def soak(output_dir: Path) -> Dict:
     counters = {
         name: value
         for name, value in sorted(load_trace(trace_path).counters.items())
-        if name.startswith("live.")
+        if name.startswith(GATED_PREFIXES)
     }
 
     problems: List[str] = []
@@ -346,7 +351,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     windows = payload["reference"]["windows"]
     print(
-        f"{len(payload['counters'])} live counters match expectations; "
+        f"{len(payload['counters'])} live and decode counters match "
+        "expectations; "
         f"{len(windows)} windows, parity verified at "
         f"{payload['reference']['parity_checks']} boundaries, "
         f"kill/resume after each of windows {KILL_AFTER[0]}-{KILL_AFTER[-1]} "

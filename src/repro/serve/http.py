@@ -13,7 +13,14 @@ manifest digest (the snapshot version) with the body digest, plus the
 full digest in ``X-Store-Version``.  A request whose ``If-None-Match``
 lists the current ETag is answered ``304 Not Modified`` without a
 body; because the ETag embeds the store version, a client can never
-revalidate a response from a rebuilt store.
+revalidate a response from a rebuilt store.  ``If-None-Match`` uses
+weak comparison (RFC 9110 §13.1.2), so ``W/"<etag>"`` matches too.
+
+Request framing is strict: a ``Content-Length`` that is not a plain
+decimal count (negative, signed, a repeated field) is
+answered ``400`` and one above :data:`MAX_BODY` ``413``, each with
+``Connection: close`` and without reading the body, so no body byte is
+ever parsed as the next request.
 
 Shutdown is graceful: the listener closes first, in-flight responses
 finish (keep-alive loops observe the closing flag), idle connections
@@ -36,7 +43,8 @@ from repro.store.format import StoreError
 #: Longest request line / header line accepted (bytes).
 MAX_LINE = 8192
 
-#: Largest request body accepted (the API is GET-only; bodies are drained).
+#: Largest request body accepted (the API is GET-only; bodies are drained,
+#: larger ones refused with 413).
 MAX_BODY = 65536
 
 SERVER_NAME = "repro-serve"
@@ -47,6 +55,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     500: "Internal Server Error",
 }
 
@@ -65,11 +74,21 @@ def etag_for(store_version: str, body: bytes) -> str:
 
 
 class _Request:
-    """One parsed request: method, split target, headers."""
+    """One parsed request: method, split target, headers.
 
-    __slots__ = ("method", "path", "query", "headers")
+    ``framing_error`` is the ``(status, message)`` answer of a request
+    whose body could not be framed; the connection closes after it.
+    """
 
-    def __init__(self, method: str, target: str, headers: Dict[str, str]):
+    __slots__ = ("method", "path", "query", "headers", "framing_error")
+
+    def __init__(
+        self,
+        method: str,
+        target: str,
+        headers: Dict[str, str],
+        framing_error: Optional[Tuple[int, str]] = None,
+    ):
         split = urlsplit(target)
         self.method = method
         self.path = unquote(split.path)
@@ -78,6 +97,7 @@ class _Request:
             for name, values in parse_qs(split.query).items()
         }
         self.headers = headers
+        self.framing_error = framing_error
 
 
 class AtomServer:
@@ -192,7 +212,9 @@ class AtomServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[_Request]:
-        """Parse one request; None on EOF / malformed framing."""
+        """Parse one request; None on EOF or a malformed request or
+        header line.  A body that cannot be framed comes back as a
+        request carrying its ``framing_error``, unread."""
         line = await reader.readline()
         if not line or len(line) > MAX_LINE:
             return None
@@ -208,16 +230,21 @@ class AtomServer:
             if raw in (b"\r\n", b"\n"):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                pending = min(int(length), MAX_BODY)
-            except ValueError:
-                return None
-            if pending:
-                await reader.readexactly(pending)
-        return _Request(method, target, headers)
+            name, value = name.strip().lower(), value.strip()
+            # Repeated fields combine into one list (RFC 9110 §5.3), so
+            # two Content-Length lines fail the check below.
+            if name in headers:
+                value = f"{headers[name]}, {value}"
+            headers[name] = value
+        length = headers.get("content-length", "0")
+        framing_error: Optional[Tuple[int, str]] = None
+        if not (length.isascii() and length.isdigit()):
+            framing_error = (400, f"malformed Content-Length {length!r}")
+        elif int(length) > MAX_BODY:
+            framing_error = (413, f"request body over {MAX_BODY} bytes")
+        elif int(length):
+            await reader.readexactly(int(length))
+        return _Request(method, target, headers, framing_error)
 
     # ------------------------------------------------------------------
     # Routing + rendering
@@ -250,7 +277,10 @@ class AtomServer:
     def _respond(self, request: _Request) -> Tuple[bytes, bool]:
         """Render one request into response bytes + keep-alive flag."""
         tracer = get_tracer()
-        keep_alive = request.headers.get("connection", "").lower() != "close"
+        keep_alive = (
+            request.framing_error is None
+            and request.headers.get("connection", "").lower() != "close"
+        )
         with tracer.span(
             "serve-request", method=request.method, path=request.path
         ) as span:
@@ -258,7 +288,10 @@ class AtomServer:
                 tracer.count("serve.requests")
             cacheable = False
             try:
-                if request.method != "GET":
+                if request.framing_error is not None:
+                    status, message = request.framing_error
+                    payload = {"error": message}
+                elif request.method != "GET":
                     status, payload = 405, {
                         "error": f"method {request.method} not allowed"
                     }
@@ -299,7 +332,10 @@ class AtomServer:
         raw = request.headers.get("if-none-match")
         if raw is None:
             return False
-        candidates = {item.strip() for item in raw.split(",")}
+        # Weak comparison: a W/ prefix does not change the opaque tag.
+        candidates = {
+            item.strip().removeprefix("W/") for item in raw.split(",")
+        }
         return etag in candidates or "*" in candidates
 
     @staticmethod

@@ -5,6 +5,11 @@ Layout mirrors real MRT archives so paths are self-describing::
     <root>/<project>/<collector>/<type>/<YYYY>/<MM>/<timestamp>.jsonl.gz
 
 Each file holds the records of one (collector, type, dump-instant).
+
+Every read through one :class:`RecordArchive` handle shares one
+:class:`~repro.stream.serialize.DecodeMemo`, so a replay that reads a
+RIB dump and then its update dumps through the same handle decodes each
+distinct AS path and attribute bundle once.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.bgp.messages import RouteRecord
-from repro.stream.serialize import record_from_json, record_to_json
+from repro.obs import get_tracer
+from repro.stream.serialize import DecodeMemo, record_from_json, record_to_json
 
 
 class RecordArchive:
@@ -25,6 +31,8 @@ class RecordArchive:
     def __init__(self, root: os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: decoded paths and attribute bundles, shared by every read
+        self._memo = DecodeMemo()
 
     # ------------------------------------------------------------------
     # Writing
@@ -83,12 +91,28 @@ class RecordArchive:
     # ------------------------------------------------------------------
 
     def read_file(self, path: os.PathLike) -> Iterator[RouteRecord]:
-        """Stream the records of one dump file."""
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield record_from_json(line)
+        """Stream the records of one dump file.
+
+        When tracing, the paths parsed and attribute bundles built for
+        this file are counted once, as it closes.
+        """
+        memo = self._memo
+        paths, bundles = memo.paths_parsed, memo.attributes_built
+        try:
+            with gzip.open(path, "rt", encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line:
+                        yield record_from_json(line, memo)
+        finally:
+            tracer = get_tracer()
+            if tracer.enabled:
+                if memo.paths_parsed > paths:
+                    tracer.count("decode.paths_parsed",
+                                 memo.paths_parsed - paths)
+                if memo.attributes_built > bundles:
+                    tracer.count("decode.attributes_built",
+                                 memo.attributes_built - bundles)
 
     def dumps(
         self,

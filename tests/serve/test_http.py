@@ -103,6 +103,15 @@ class TestCachingHeaders:
         assert headers["ETag"] == etag
         assert "Content-Length" not in headers
 
+    def test_weak_etag_revalidates(self, server, connection):
+        """``If-None-Match`` compares weakly (RFC 9110 §13.1.2)."""
+        _, headers, _ = fetch(connection, "/v1/stats")
+        status, _, body = fetch(
+            connection, "/v1/stats",
+            headers={"If-None-Match": f'"stale", W/{headers["ETag"]}'},
+        )
+        assert status == 304 and body == b""
+
     def test_wildcard_revalidates(self, server, connection):
         fetch(connection, "/v1/stats")
         status, _, body = fetch(
@@ -188,6 +197,66 @@ class TestConnections:
         ) as sock:
             sock.sendall(b"GARBAGE\r\n\r\n")
             assert sock.recv(1024) == b""
+
+
+def exchange(server, payload: bytes) -> bytes:
+    """Send raw bytes; everything the server answers until it closes."""
+    answer = b""
+    with socket.create_connection(
+        (server.host, server.port), timeout=10
+    ) as sock:
+        sock.sendall(payload)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # closed with the refused body still unread
+            if not chunk:
+                break
+            answer += chunk
+    return answer
+
+
+class TestFraming:
+    """Every request is answered or refused; no body byte is ever read
+    as the start of another request."""
+
+    @pytest.mark.parametrize("fields", [
+        b"Content-Length: -5\r\n",
+        b"Content-Length: five\r\n",
+        b"Content-Length: 1_0\r\n",
+        b"Content-Length: 0\r\nContent-Length: 5\r\n",
+    ])
+    def test_malformed_length_is_a_400_and_closes(self, server, fields):
+        answer = exchange(server, b"GET /v1/stats HTTP/1.1\r\n" + fields
+                          + b"\r\nhello")
+        assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert answer.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in answer
+        body = answer.partition(b"\r\n\r\n")[2]
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_oversized_body_is_a_413_and_nothing_is_smuggled(self, server):
+        body = b"x" * 65536 + (
+            b"GET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        answer = exchange(
+            server,
+            b"GET /v1/stats HTTP/1.1\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body,
+        )
+        assert answer.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
+        assert answer.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in answer
+
+    def test_a_body_within_the_limit_is_drained(self, server):
+        answer = exchange(
+            server,
+            b"GET /v1/stats HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        assert answer.count(b"HTTP/1.1 200 OK\r\n") == 2
+        assert answer.count(b"HTTP/1.1 ") == 2
 
 
 class TestLifecycle:
