@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -114,6 +115,14 @@ def _non_negative_int(value: str) -> int:
     if count < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return count
+
+
+def _non_negative_seconds(value: str) -> float:
+    """Argparse type for sim durations: finite and at least 0."""
+    seconds = float(value)
+    if not math.isfinite(seconds) or seconds < 0:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
+    return seconds
 
 
 def _add_engine_options(parser: argparse.ArgumentParser,
@@ -735,10 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
                           default="quiet",
                           help="perturbation schedule to apply after the "
                                "initial convergence (see docs/simulation.md)")
-    converge.add_argument("--mrai", type=float, default=30.0,
+    converge.add_argument("--mrai", type=_non_negative_seconds, default=30.0,
                           help="per-neighbor MRAI hold time in sim seconds "
                                "(default: 30)")
-    converge.add_argument("--snapshot-at", type=float, action="append",
+    converge.add_argument("--snapshot-at", type=_non_negative_seconds,
+                          action="append",
                           dest="snapshot_at", metavar="SECONDS",
                           help="render a mid-convergence RIB snapshot this "
                                "many sim seconds after the scenario starts "
@@ -751,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=True,
                           help="compare the quiescent tables against the "
                                "equilibrium renderer (default: on)")
-    converge.add_argument("--max-events", type=int, default=None,
+    converge.add_argument("--max-events", type=_non_negative_int, default=None,
                           dest="max_events",
                           help="abort if quiescence needs more than this "
                                "many events")

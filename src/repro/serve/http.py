@@ -20,7 +20,11 @@ Request framing is strict: a ``Content-Length`` that is not a plain
 decimal count (negative, signed, a repeated field) is
 answered ``400`` and one above :data:`MAX_BODY` ``413``, each with
 ``Connection: close`` and without reading the body, so no body byte is
-ever parsed as the next request.
+ever parsed as the next request.  A ``chunked`` body (RFC 9112 §7.1) is
+read and discarded, trailers included, under the same limit; a
+malformed chunk is a ``400``, any other transfer coding a ``501``.  A
+request carrying both ``Transfer-Encoding`` and ``Content-Length`` is
+framed by the former and answered with ``Connection: close`` (§6.3).
 
 Shutdown is graceful: the listener closes first, in-flight responses
 finish (keep-alive loops observe the closing flag), idle connections
@@ -57,7 +61,54 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Content Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line, or ``b""`` at EOF or for a line over :data:`MAX_LINE`
+    bytes (the reader raises ``ValueError`` past its 64 KiB buffer)."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        return b""
+    return b"" if len(line) > MAX_LINE else line
+
+
+async def _drain_chunked(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[int, str]]:
+    """Read and discard one chunked body, trailers included (RFC
+    9112 §7.1); the ``(status, message)`` to answer instead if it is
+    malformed or over :data:`MAX_BODY` bytes, else None."""
+    total = 0
+    while True:
+        line = await _read_line(reader)
+        total += len(line)
+        size_text = line.split(b";", 1)[0].strip()
+        # Hex digits only: int(..., 16) would also take a sign, a 0x
+        # prefix or underscores.
+        if (not line.endswith(b"\n") or not size_text
+                or size_text.strip(b"0123456789abcdefABCDEF")):
+            return 400, f"malformed chunk size line {line[:40]!r}"
+        size = int(size_text, 16)
+        if size == 0:
+            break
+        total += size + 2
+        if total > MAX_BODY:
+            return 413, f"request body over {MAX_BODY} bytes"
+        await reader.readexactly(size)
+        if await _read_line(reader) not in (b"\r\n", b"\n"):
+            return 400, "chunk data not followed by CRLF"
+    while True:  # the trailer section ends at an empty line
+        line = await _read_line(reader)
+        total += len(line)
+        if total > MAX_BODY:
+            return 413, f"request body over {MAX_BODY} bytes"
+        if not line.endswith(b"\n"):
+            return 400, "malformed chunked trailer section"
+        if line in (b"\r\n", b"\n"):
+            return None
 
 
 def encode_body(payload: Any) -> bytes:
@@ -77,10 +128,12 @@ class _Request:
     """One parsed request: method, split target, headers.
 
     ``framing_error`` is the ``(status, message)`` answer of a request
-    whose body could not be framed; the connection closes after it.
+    whose body could not be framed; the connection closes after it, as
+    it does after any request with ``must_close`` set.
     """
 
-    __slots__ = ("method", "path", "query", "headers", "framing_error")
+    __slots__ = ("method", "path", "query", "headers", "framing_error",
+                 "must_close")
 
     def __init__(
         self,
@@ -88,6 +141,7 @@ class _Request:
         target: str,
         headers: Dict[str, str],
         framing_error: Optional[Tuple[int, str]] = None,
+        must_close: bool = False,
     ):
         split = urlsplit(target)
         self.method = method
@@ -98,6 +152,7 @@ class _Request:
         }
         self.headers = headers
         self.framing_error = framing_error
+        self.must_close = must_close
 
 
 class AtomServer:
@@ -215,8 +270,8 @@ class AtomServer:
         """Parse one request; None on EOF or a malformed request or
         header line.  A body that cannot be framed comes back as a
         request carrying its ``framing_error``, unread."""
-        line = await reader.readline()
-        if not line or len(line) > MAX_LINE:
+        line = await _read_line(reader)
+        if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
@@ -224,8 +279,8 @@ class AtomServer:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
-            if not raw or len(raw) > MAX_LINE:
+            raw = await _read_line(reader)
+            if not raw:
                 return None
             if raw in (b"\r\n", b"\n"):
                 break
@@ -236,6 +291,16 @@ class AtomServer:
             if name in headers:
                 value = f"{headers[name]}, {value}"
             headers[name] = value
+        coding = headers.get("transfer-encoding")
+        if coding is not None:
+            if coding.lower() != "chunked":
+                return _Request(method, target, headers, (
+                    501, f"transfer coding {coding!r} not implemented"))
+            # Transfer-Encoding overrides Content-Length; a request
+            # carrying both may be a smuggling attempt (RFC 9112 §6.3).
+            return _Request(method, target, headers,
+                            await _drain_chunked(reader),
+                            must_close="content-length" in headers)
         length = headers.get("content-length", "0")
         framing_error: Optional[Tuple[int, str]] = None
         if not (length.isascii() and length.isdigit()):
@@ -279,6 +344,7 @@ class AtomServer:
         tracer = get_tracer()
         keep_alive = (
             request.framing_error is None
+            and not request.must_close
             and request.headers.get("connection", "").lower() != "close"
         )
         with tracer.span(

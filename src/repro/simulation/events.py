@@ -45,6 +45,7 @@ See ``docs/simulation.md`` for the event model and scenario taxonomy.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.bgp.attributes import Community, PathAttributes
@@ -64,7 +65,7 @@ from repro.simulation.routing import (
 )
 from repro.simulation.snapshot import render_rib_records
 from repro.topology.model import Relationship
-from repro.topology.policies import OriginPolicy, PolicyUnit
+from repro.topology.policies import OriginPolicy, PolicyUnit, TransitPolicy
 from repro.topology.world import PeerSpec, World
 from repro.util.determinism import derive_rng
 
@@ -102,6 +103,9 @@ class SimRouter:
         (customer < peer < provider).
     customers / providers / peers:
         Neighbor sets by business relationship.
+    neighbor_order:
+        Every neighbor ASN, sorted once at build time (relationships are
+        fixed for a run; link state lives on the run).
     adj_in:
         Per-neighbor Adj-RIB-In: ``{neighbor: {nlri: (path, tag)}}``.
     loc_rib:
@@ -127,6 +131,7 @@ class SimRouter:
         "customers",
         "providers",
         "peers",
+        "neighbor_order",
         "adj_in",
         "loc_rib",
         "sent",
@@ -157,6 +162,7 @@ class SimRouter:
         self.customers = frozenset(customers)
         self.providers = frozenset(providers)
         self.peers = frozenset(peers)
+        self.neighbor_order: Tuple[int, ...] = tuple(sorted(self.neighbor_class))
         self.adj_in: Dict[int, Dict[NLRI, Advert]] = {}
         self.loc_rib: Dict[NLRI, Tuple[Route, Optional[Community]]] = {}
         self.sent: Dict[int, Dict[NLRI, Advert]] = {}
@@ -237,9 +243,12 @@ class ConvergenceRun:
         seed: Optional[int] = None,
         record_updates: bool = False,
     ):
+        mrai = float(mrai)
+        if not math.isfinite(mrai) or mrai < 0:
+            raise ValueError(f"mrai must be a finite number >= 0, got {mrai}")
         self.world = world
         self.family = family
-        self.mrai = float(mrai)
+        self.mrai = mrai
         self.seed = world.params.seed if seed is None else seed
         self.start_ts = world.current_time
         self.now = 0.0
@@ -256,6 +265,8 @@ class ConvergenceRun:
         self._latency_cache: Dict[Tuple[int, int], float] = {}
         self._session_epoch: Dict[Tuple[int, int], int] = {}
         self._down_links: Set[Tuple[int, int]] = set()
+        #: full Adj-RIB-In scans since the last ``_pump`` reported them
+        self._selection_scans = 0
         self._update_log: List[RouteRecord] = []
         self._settled = False
         self._transit = world.transit_policies
@@ -295,7 +306,13 @@ class ConvergenceRun:
         heapq.heappush(self._heap, (when, self._seq, kind, payload))
 
     def schedule(self, when: float, action: Callable[..., None], *args: Any) -> None:
-        """Run ``action(*args)`` at sim time ``when`` (>= now)."""
+        """Run ``action(*args)`` at sim time ``when`` (>= now).
+
+        A non-finite ``when`` raises :class:`ValueError`: NaN compares
+        false with every time and would break the heap's order.
+        """
+        if not math.isfinite(when):
+            raise ValueError(f"schedule needs a finite sim time, got {when}")
         self._push(max(when, self.now), _EV_ACTION, (action, args))
 
     def _latency(self, a: int, b: int) -> float:
@@ -326,8 +343,15 @@ class ConvergenceRun:
     # Routing core
     # ------------------------------------------------------------------
 
-    def _desired_advert(self, router: SimRouter, neighbor: int,
-                        nlri: NLRI) -> Optional[Advert]:
+    def _desired_advert(
+        self,
+        router: SimRouter,
+        neighbor: int,
+        nlri: NLRI,
+        upstream: bool,
+        takes_all: bool,
+        policy: Optional[TransitPolicy],
+    ) -> Optional[Advert]:
         """What ``router`` should currently advertise to ``neighbor``.
 
         ``None`` means nothing (a withdrawal if something was sent
@@ -338,17 +362,19 @@ class ConvergenceRun:
         leak is configured); transit tag filters apply at every
         non-origin export; exports never face the origin or an AS
         already on the path.
+
+        The caller has checked that the session is up and passes the
+        facts fixed for the whole send: ``upstream`` (the neighbor is a
+        provider or peer), ``takes_all`` (it is a customer or a leak
+        target, so it takes non-customer routes) and ``policy`` (the
+        router's transit policy, ``None`` when it has no rules).
         """
-        if self._link_down(router.asn, neighbor):
-            return None
         origin, unit_id = nlri
         if router.asn == origin:
             unit = router.local_units.get(unit_id)
             if unit is None or unit_id in router.suppressed:
                 return None
-            if neighbor not in router.providers and neighbor not in router.peers:
-                return None
-            if not unit.announces_to(neighbor):
+            if not upstream or not unit.announces_to(neighbor):
                 return None
             path = (origin,) * (1 + unit.prepend_for(neighbor))
             return (path, unit.tag)
@@ -358,36 +384,49 @@ class ConvergenceRun:
         route, tag = entry
         if neighbor == origin or neighbor in route.path:
             return None
-        if (
-            route.pref_class != CLASS_CUSTOMER
-            and neighbor not in router.customers
-            and neighbor not in router.leak_to
-        ):
+        if route.pref_class != CLASS_CUSTOMER and not takes_all:
             return None
-        policy = self._transit.get(router.asn)
         if policy is not None and policy.blocks(tag, neighbor):
             return None
         return ((router.asn,) + route.path, tag)
 
-    def _reselect(self, router: SimRouter, nlri: NLRI) -> bool:
-        """Recompute the best route for one NLRI; True if it changed.
+    def _reselect(self, router: SimRouter, nlri: NLRI, sender: int,
+                  advert: Optional[Advert]) -> bool:
+        """Update the best route for ``nlri`` after ``sender``'s offer
+        became ``advert`` (``None``: withdrawn); True if it changed.
 
         Candidates never tie: same-class same-length offers from
-        different neighbors differ at ``path[0]``, so ``Route.rank()``
-        is a strict total order over them.
+        different neighbors differ at ``path[0]``, which is the sender,
+        so ``Route.rank()`` is a strict total order over them and only
+        the changed offer can displace the best.  An offer that ranks
+        at or above the best becomes the best; an offer from a neighbor
+        that did not hold the best changes nothing otherwise.  Only when
+        the sender held the best and now offers a worse route or none
+        are all Adj-RIB-Ins scanned.
         """
-        best: Optional[Route] = None
-        best_tag: Optional[Community] = None
-        for neighbor, table in router.adj_in.items():
-            entry = table.get(nlri)
-            if entry is None:
-                continue
-            path, tag = entry
-            route = Route(router.neighbor_class[neighbor], len(path), path)
-            if best is None or route.rank() < best.rank():
-                best, best_tag = route, tag
         old = router.loc_rib.get(nlri)
-        new = None if best is None else (best, best_tag)
+        new: Optional[Tuple[Route, Optional[Community]]] = None
+        if advert is not None:
+            path, tag = advert
+            offer = Route(router.neighbor_class[sender], len(path), path)
+            if old is None or offer.rank() <= old[0].rank():
+                new = (offer, tag)
+        if new is None:
+            if old is None or old[0].path[0] != sender:
+                return False
+            self._selection_scans += 1
+            best: Optional[Route] = None
+            best_tag: Optional[Community] = None
+            for neighbor, table in router.adj_in.items():
+                entry = table.get(nlri)
+                if entry is None:
+                    continue
+                path, tag = entry
+                route = Route(router.neighbor_class[neighbor], len(path), path)
+                if best is None or route.rank() < best.rank():
+                    best, best_tag = route, tag
+            if best is not None:
+                new = (best, best_tag)
         if new == old:
             return False
         if new is None:
@@ -401,7 +440,7 @@ class ConvergenceRun:
         """Queue NLRIs for (re-)advertisement toward every live neighbor."""
         if not nlris:
             return
-        for neighbor in sorted(router.neighbor_class):
+        for neighbor in router.neighbor_order:
             if self._link_down(router.asn, neighbor):
                 continue
             router.pending.setdefault(neighbor, set()).update(nlris)
@@ -427,11 +466,16 @@ class ConvergenceRun:
         if self._link_down(asn, neighbor):
             pending.clear()
             return
+        # Fixed for the whole send: worked out once, not once per NLRI.
+        upstream = neighbor in router.providers or neighbor in router.peers
+        takes_all = neighbor in router.customers or neighbor in router.leak_to
+        policy = self._transit.get(asn) or None
         announcements: List[Tuple[NLRI, Advert]] = []
         withdrawals: List[NLRI] = []
         sent = router.sent.setdefault(neighbor, {})
         for nlri in sorted(pending):
-            desired = self._desired_advert(router, neighbor, nlri)
+            desired = self._desired_advert(router, neighbor, nlri, upstream,
+                                           takes_all, policy)
             previous = sent.get(nlri)
             if desired == previous:
                 continue
@@ -473,14 +517,15 @@ class ConvergenceRun:
             return
         router = self.routers[receiver]
         adj = router.adj_in.setdefault(sender, {})
-        touched: Set[NLRI] = set()
+        changed: Set[NLRI] = set()
         for nlri, advert in announcements:
             adj[nlri] = advert
-            touched.add(nlri)
+            if self._reselect(router, nlri, sender, advert):
+                changed.add(nlri)
         for nlri in withdrawals:
-            if adj.pop(nlri, None) is not None:
-                touched.add(nlri)
-        changed = {nlri for nlri in touched if self._reselect(router, nlri)}
+            if (adj.pop(nlri, None) is not None
+                    and self._reselect(router, nlri, sender, None)):
+                changed.add(nlri)
         if not changed:
             return
         get_tracer().count("sim.best_changes", len(changed))
@@ -500,6 +545,11 @@ class ConvergenceRun:
             when = heap[0][0]
             if until is not None and when > until:
                 break
+            if max_events is not None and processed >= max_events:
+                raise ConvergenceError(
+                    f"no quiescence after {processed} events "
+                    f"(sim time {self.now:.1f}s)"
+                )
             _, _, kind, payload = heapq.heappop(heap)
             if when > self.now:
                 self.now = when
@@ -511,15 +561,14 @@ class ConvergenceRun:
             else:
                 action, args = payload
                 action(*args)
-            if max_events is not None and processed >= max_events and heap:
-                raise ConvergenceError(
-                    f"no quiescence after {processed} events "
-                    f"(sim time {self.now:.1f}s)"
-                )
         if until is not None and until > self.now:
             self.now = until
+        tracer = get_tracer()
         if processed:
-            get_tracer().count("sim.events", processed)
+            tracer.count("sim.events", processed)
+        if self._selection_scans:
+            tracer.count("sim.selection_scans", self._selection_scans)
+            self._selection_scans = 0
         return processed
 
     def settle(self) -> None:
@@ -536,7 +585,13 @@ class ConvergenceRun:
                 )
 
     def run_until(self, when: float) -> int:
-        """Process every event up to sim time ``when``; returns count."""
+        """Process every event up to sim time ``when``; returns count.
+
+        A non-finite ``when`` raises :class:`ValueError`: NaN would
+        never stop the loop and infinity has no state to show.
+        """
+        if not math.isfinite(when):
+            raise ValueError(f"run_until needs a finite sim time, got {when}")
         with get_tracer().span("sim.run", until=when) as span:
             processed = self._pump(until=when)
             span.set(events=processed, sim_time=self.now)
@@ -548,8 +603,11 @@ class ConvergenceRun:
         An empty queue *is* the quiescence condition: MRAI deadlines are
         passive (send events exist only while pending updates do), so no
         events outstanding means no pending timers.  ``max_events``
-        bounds runaway scenarios with a :class:`ConvergenceError`.
+        bounds runaway scenarios with a :class:`ConvergenceError`; a
+        negative budget raises :class:`ValueError`.
         """
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         with get_tracer().span("sim.run") as span:
             processed = self._pump(until=None, max_events=max_events)
             span.set(events=processed, sim_time=self.now)
@@ -594,7 +652,8 @@ class ConvergenceRun:
             stale = router.adj_in.pop(there, None)
             if stale:
                 changed = {
-                    nlri for nlri in sorted(stale) if self._reselect(router, nlri)
+                    nlri for nlri in sorted(stale)
+                    if self._reselect(router, nlri, there, None)
                 }
                 if changed:
                     get_tracer().count("sim.best_changes", len(changed))

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import re
 import socket
 
 import pytest
@@ -217,6 +218,15 @@ def exchange(server, payload: bytes) -> bytes:
     return answer
 
 
+CHUNKED = b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+FOLLOW_UP = b"GET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n"
+
+
+def statuses(answer: bytes):
+    """Status codes of every response in ``answer``, in order."""
+    return [int(code) for code in re.findall(rb"HTTP/1\.1 (\d{3}) ", answer)]
+
+
 class TestFraming:
     """Every request is answered or refused; no body byte is ever read
     as the start of another request."""
@@ -257,6 +267,83 @@ class TestFraming:
         )
         assert answer.count(b"HTTP/1.1 200 OK\r\n") == 2
         assert answer.count(b"HTTP/1.1 ") == 2
+
+    def test_header_line_past_the_read_buffer_closes_quietly(
+            self, server, caplog):
+        """A line over the stream reader's 64 KiB buffer is refused like
+        one over ``MAX_LINE``, not raised out of the handler."""
+        with caplog.at_level("ERROR", logger="asyncio"):
+            answer = exchange(server, b"GET /v1/stats HTTP/1.1\r\nX-Pad: "
+                              + b"a" * 70000 + b"\r\n\r\n" + FOLLOW_UP)
+            # The handler has finished once the connection is closed;
+            # one more request makes sure its log record would be in.
+            assert statuses(exchange(server, FOLLOW_UP)) == [200]
+        assert answer == b""
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+class TestTransferEncoding:
+    """RFC 9112 §6-7: a chunked body is consumed, never parsed as the
+    next request; other codings are refused."""
+
+    def test_request_in_a_chunked_body_is_not_smuggled(self, server):
+        answer = exchange(server, CHUNKED + b"\r\n" + FOLLOW_UP)
+        assert statuses(answer) == [400]
+        assert b"chunk size" in answer
+        assert b"\r\nConnection: close\r\n" in answer
+
+    def test_chunked_body_is_drained_before_the_next_request(self, server):
+        answer = exchange(
+            server, CHUNKED + b"\r\n5\r\nhello\r\n0\r\n\r\n" + FOLLOW_UP)
+        assert statuses(answer) == [200, 200]
+        assert b'"store_version"' in answer  # /healthz, then /v1/stats
+
+    def test_chunk_extensions_and_trailers_are_drained(self, server):
+        answer = exchange(
+            server,
+            CHUNKED + b"\r\n3;name=value\r\nabc\r\n2\r\nde\r\n0\r\n"
+            b"X-Checksum: 1\r\n\r\n" + FOLLOW_UP,
+        )
+        assert statuses(answer) == [200, 200]
+
+    def test_chunk_data_overrunning_its_size_is_a_400(self, server):
+        answer = exchange(server, CHUNKED + b"\r\n2\r\nhello\r\n0\r\n\r\n"
+                          + FOLLOW_UP)
+        assert statuses(answer) == [400]
+
+    def test_other_codings_are_a_501_and_close(self, server):
+        for coding in (b"gzip", b"gzip, chunked", b"identity"):
+            answer = exchange(
+                server,
+                b"GET /v1/stats HTTP/1.1\r\nTransfer-Encoding: " + coding
+                + b"\r\n\r\n" + FOLLOW_UP,
+            )
+            assert statuses(answer) == [501], coding
+            assert answer.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+            assert b"\r\nConnection: close\r\n" in answer
+
+    def test_oversized_chunked_body_is_a_413(self, server):
+        one_chunk = CHUNKED + b"\r\n10001\r\n" + b"x" * 16 + FOLLOW_UP
+        many_chunks = (CHUNKED + b"\r\n"
+                       + (b"400\r\n" + b"x" * 1024 + b"\r\n") * 70
+                       + b"0\r\n\r\n" + FOLLOW_UP)
+        for payload in (one_chunk, many_chunks):
+            answer = exchange(server, payload)
+            assert statuses(answer) == [413]
+            assert b"\r\nConnection: close\r\n" in answer
+
+    def test_chunk_size_line_past_the_read_buffer_is_a_400(self, server):
+        answer = exchange(server, CHUNKED + b"\r\n" + b"0" * 70000
+                          + b"1\r\nx\r\n0\r\n\r\n" + FOLLOW_UP)
+        assert statuses(answer) == [400]
+
+    def test_both_framings_answer_then_close(self, server):
+        answer = exchange(
+            server,
+            CHUNKED + b"Content-Length: 5\r\n\r\n0\r\n\r\n" + FOLLOW_UP,
+        )
+        assert statuses(answer) == [200]
+        assert b"\r\nConnection: close\r\n" in answer
 
 
 class TestLifecycle:

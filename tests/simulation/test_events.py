@@ -100,6 +100,49 @@ class TestDeterminism:
             run.run_to_quiescence(max_events=3)
 
 
+class TestInputValidation:
+    """Inputs the engine cannot honour raise instead of running wrong."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return SimulatedInternet(TEST_WORLD, start=START).world
+
+    @pytest.mark.parametrize("mrai", [-5.0, float("nan"), float("inf")])
+    def test_mrai_must_be_finite_and_non_negative(self, world, mrai):
+        with pytest.raises(ValueError, match="mrai"):
+            ConvergenceRun(world, mrai=mrai)
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_run_until_needs_a_finite_time(self, world, when):
+        run = ConvergenceRun(world)
+        run.settle()
+        with pytest.raises(ValueError, match="finite"):
+            run.run_until(when)
+        assert run.now == 0.0 and not run.is_quiescent
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_schedule_needs_a_finite_time(self, world, when):
+        run = ConvergenceRun(world)
+        with pytest.raises(ValueError, match="finite"):
+            run.schedule(when, run.withdraw_unit, 1, 0)
+        assert run.is_quiescent
+
+    def test_negative_event_budget_rejected(self, world):
+        run = ConvergenceRun(world)
+        run.settle()
+        with pytest.raises(ValueError, match="max_events"):
+            run.run_to_quiescence(max_events=-3)
+        assert run.now == 0.0 and not run.is_quiescent
+
+    def test_zero_event_budget_processes_nothing(self, world):
+        run = ConvergenceRun(world)
+        run.settle()
+        with pytest.raises(ConvergenceError, match="after 0 events"):
+            run.run_to_quiescence(max_events=0)
+        run.run_to_quiescence()
+        assert run.run_to_quiescence(max_events=0) == run.now
+
+
 def assert_internally_consistent(run):
     """Every selected route is loop-free, export-legal, and anchored.
 

@@ -29,6 +29,22 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--mrai", "-5", "must be a finite number >= 0"),
+        ("--mrai", "nan", "must be a finite number >= 0"),
+        ("--mrai", "inf", "must be a finite number >= 0"),
+        ("--snapshot-at", "-30", "must be a finite number >= 0"),
+        ("--snapshot-at", "nan", "must be a finite number >= 0"),
+        ("--max-events", "-3", "must be >= 0"),
+    ])
+    def test_converge_rejects_inputs_it_cannot_honour(
+            self, capsys, option, value, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["converge", option, value] + COMMON)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: {message}" in err
+
 
 class TestCommands:
     def test_atoms_from_simulation(self, capsys):
