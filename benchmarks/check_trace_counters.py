@@ -94,6 +94,7 @@ SCENARIOS: Dict[str, List[str]] = {
 
 #: Only counters are gated; every one is an exact count, never a timing.
 TRACKED_PREFIXES = (
+    "render.",
     "decode.",
     "sanitize.",
     "atoms.",

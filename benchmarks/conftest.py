@@ -58,10 +58,21 @@ DAILY_WORLD = WorldParams(
 )
 
 
+#: ``REPRO_BENCH_SMOKE=1`` shrinks the speedup benchmarks' fixtures (CI's
+#: bench-smoke step), so their reports must not replace the committed
+#: full-scale ones under ``benchmarks/output/``.
+SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+
 def emit(name: str, text: str) -> None:
-    """Print a rendered artifact and persist it under benchmarks/output."""
+    """Print a rendered artifact and persist it under benchmarks/output.
+
+    Smoke runs only print.
+    """
     print()
     print(text)
+    if SMOKE:
+        return
     OUTPUT_DIR.mkdir(exist_ok=True)
     with open(OUTPUT_DIR / f"{name}.txt", "w", encoding="utf-8") as handle:
         handle.write(text + "\n")

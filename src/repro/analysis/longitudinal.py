@@ -27,6 +27,7 @@ from repro.net.prefix import AF_INET
 from repro.obs import get_tracer, traced_records
 from repro.reporting.series import Series
 from repro.simulation.scenario import SimulatedInternet
+from repro.simulation.snapshot import RenderMemo
 from repro.util.dates import utc_timestamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -202,16 +203,20 @@ class LongitudinalStudy:
                 tracer.count("decode.records", len(records))
         return records
 
-    def _compute(self, when: int) -> AtomComputation:
+    def _compute(
+        self, when: int, memo: Optional[RenderMemo] = None
+    ) -> AtomComputation:
         records = traced_records(
-            self.simulator.rib_records(when, family=self.family),
+            self.simulator.rib_records(when, family=self.family, memo=memo),
             source="simulated",
         )
         return compute_policy_atoms(
             records, config=self.sanitization, pool=self._ensure_pool()
         )
 
-    def _compute_incremental(self, when: int) -> Tuple[AtomComputation, str]:
+    def _compute_incremental(
+        self, when: int, memo: Optional[RenderMemo] = None
+    ) -> Tuple[AtomComputation, str]:
         """One instant through the :class:`AtomIndex`.
 
         Sanitization still runs per instant (vantage points and the
@@ -222,7 +227,7 @@ class LongitudinalStudy:
         pool, which survives rebuilds.
         """
         records = traced_records(
-            self.simulator.rib_records(when, family=self.family),
+            self.simulator.rib_records(when, family=self.family, memo=memo),
             source="simulated",
         )
         dataset = sanitize(records, self.sanitization)
@@ -257,12 +262,18 @@ class LongitudinalStudy:
         with_updates: bool = False,
         update_hours: float = 4.0,
     ) -> SnapshotSuite:
-        """Compute one quarter's suite (timestamps per §2.4.1)."""
+        """Compute one quarter's suite (timestamps per §2.4.1).
+
+        The suite's renders share one :class:`RenderMemo`, so each
+        peer's (path, tag) bundle is built once per quarter.  The memo
+        is local to this call: it never outlives the quarter.
+        """
         times = [
             utc_timestamp(year, month, day, hour) for day, hour in SNAPSHOT_OFFSETS
         ]
+        memo = RenderMemo()
         if not self.incremental:
-            base = self._compute(times[0])
+            base = self._compute(times[0], memo)
             suite = SnapshotSuite(
                 year=year, month=month, family=self.family, base=base
             )
@@ -271,12 +282,12 @@ class LongitudinalStudy:
                 suite.update_record_count = len(records)
                 suite.updates = update_correlation(base.atoms, records, max_size=7)
             if with_stability:
-                suite.after_8h = self._compute(times[1])
-                suite.after_24h = self._compute(times[2])
-                suite.after_week = self._compute(times[3])
+                suite.after_8h = self._compute(times[1], memo)
+                suite.after_24h = self._compute(times[2], memo)
+                suite.after_week = self._compute(times[3], memo)
             return suite
         return self._incremental_suite(
-            year, month, times, with_stability, with_updates, update_hours
+            year, month, times, with_stability, with_updates, update_hours, memo
         )
 
     def _incremental_suite(
@@ -287,6 +298,7 @@ class LongitudinalStudy:
         with_stability: bool,
         with_updates: bool,
         update_hours: float,
+        memo: RenderMemo,
     ) -> SnapshotSuite:
         """The within-quarter walk driven by the :class:`AtomIndex`."""
         key_base = (
@@ -297,7 +309,7 @@ class LongitudinalStudy:
 
         def step(when: int) -> AtomComputation:
             started = time.perf_counter()
-            computation, mode = self._compute_incremental(when)
+            computation, mode = self._compute_incremental(when, memo)
             timings.append((mode, time.perf_counter() - started))
             return computation
 

@@ -94,10 +94,11 @@ def _world_params(args: argparse.Namespace) -> WorldParams:
 
 
 def _add_world_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=int, default=200,
+    parser.add_argument("--scale", type=_positive_int, default=200,
                         help="world scale divisor (default: 1/200 of the Internet)")
     parser.add_argument("--seed", type=int, default=20250701)
-    parser.add_argument("--peer-scale", type=float, default=0.04, dest="peer_scale")
+    parser.add_argument("--peer-scale", type=_non_negative_float, default=0.04,
+                        dest="peer_scale")
     parser.add_argument("--family", type=int, choices=(4, 6), default=4)
 
 
@@ -117,12 +118,12 @@ def _non_negative_int(value: str) -> int:
     return count
 
 
-def _non_negative_seconds(value: str) -> float:
-    """Argparse type for sim durations: finite and at least 0."""
-    seconds = float(value)
-    if not math.isfinite(seconds) or seconds < 0:
+def _non_negative_float(value: str) -> float:
+    """Argparse type for durations and scale factors: finite and >= 0."""
+    number = float(value)
+    if not math.isfinite(number) or number < 0:
         raise argparse.ArgumentTypeError("must be a finite number >= 0")
-    return seconds
+    return number
 
 
 def _add_engine_options(parser: argparse.ArgumentParser,
@@ -163,7 +164,7 @@ def _add_trend_range_options(parser: argparse.ArgumentParser) -> None:
     """Year-range options shared by ``trend`` and ``store build``."""
     parser.add_argument("--first-year", type=int, default=2004, dest="first_year")
     parser.add_argument("--last-year", type=int, default=2024, dest="last_year")
-    parser.add_argument("--step", type=int, default=4)
+    parser.add_argument("--step", type=_positive_int, default=4)
     parser.add_argument("--no-stability", action="store_true", dest="no_stability")
 
 
@@ -616,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_world_options(simulate)
     simulate.add_argument("--start", default="2024-10-15 08:00")
     simulate.add_argument("--archive", type=Path, required=True)
-    simulate.add_argument("--update-hours", type=float, default=0.0,
+    simulate.add_argument("--update-hours", type=_non_negative_float, default=0.0,
                           dest="update_hours")
     simulate.set_defaults(handler=cmd_simulate)
 
@@ -744,10 +745,10 @@ def build_parser() -> argparse.ArgumentParser:
                           default="quiet",
                           help="perturbation schedule to apply after the "
                                "initial convergence (see docs/simulation.md)")
-    converge.add_argument("--mrai", type=_non_negative_seconds, default=30.0,
+    converge.add_argument("--mrai", type=_non_negative_float, default=30.0,
                           help="per-neighbor MRAI hold time in sim seconds "
                                "(default: 30)")
-    converge.add_argument("--snapshot-at", type=_non_negative_seconds,
+    converge.add_argument("--snapshot-at", type=_non_negative_float,
                           action="append",
                           dest="snapshot_at", metavar="SECONDS",
                           help="render a mid-convergence RIB snapshot this "
@@ -786,6 +787,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "first_year", 0) > getattr(args, "last_year", 0):
+        parser.error(
+            f"--first-year {args.first_year} is after "
+            f"--last-year {args.last_year}"
+        )
     return run_handler(args)
 
 

@@ -103,10 +103,18 @@ class CleanDataset:
 
 
 def audit_peers(records: Iterable[RouteRecord]) -> Tuple[Dict[int, PeerAudit], List[RouteRecord]]:
-    """Scan records once, collecting per-peer-ASN health counters."""
+    """Scan records once, collecting per-peer-ASN health counters.
+
+    Elements usually share attribute bundles (renderers and decoders
+    build one per distinct path), so the private-ASN test runs once per
+    bundle object.  Keying by ``id()`` is safe: ``kept`` holds every
+    scanned record, so no bundle dies and frees its id during the call.
+    """
     audits: Dict[int, PeerAudit] = defaultdict(PeerAudit)
     kept: List[RouteRecord] = []
     seen_prefixes: Dict[Tuple[int, PeerId], Set[Prefix]] = defaultdict(set)
+    #: id(attributes) -> whether its path leaks a private ASN
+    leaks: Dict[int, bool] = {}
     for record in records:
         audit = audits[record.peer_asn]
         audit.records += 1
@@ -119,11 +127,18 @@ def audit_peers(records: Iterable[RouteRecord]) -> Tuple[Dict[int, PeerAudit], L
                 audit.duplicate_elements += 1
             else:
                 seen.add(element.prefix)
-            if element.attributes is not None:
-                path = element.attributes.as_path
-                # The peer's own ASN may be private in odd setups; what
-                # flags misconfiguration is a private ASN *inside* the path.
-                if any(is_private_asn(asn) for asn in path.asns()[1:]):
+            attributes = element.attributes
+            if attributes is not None:
+                leak = leaks.get(id(attributes))
+                if leak is None:
+                    # The peer's own ASN may be private in odd setups; what
+                    # flags misconfiguration is a private ASN *inside* the path.
+                    leak = any(
+                        is_private_asn(asn)
+                        for asn in attributes.as_path.asns()[1:]
+                    )
+                    leaks[id(attributes)] = leak
+                if leak:
                     audit.private_asn_paths += 1
         kept.append(record)
     for (peer_asn, _), prefixes in seen_prefixes.items():

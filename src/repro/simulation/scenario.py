@@ -29,7 +29,11 @@ from repro.bgp.rib import RIBSnapshot
 from repro.net.prefix import AF_INET
 from repro.simulation.events import ConvergenceRun, DEFAULT_MRAI
 from repro.simulation.routing import PropagationEngine
-from repro.simulation.snapshot import render_rib_records, render_snapshot
+from repro.simulation.snapshot import (
+    RenderMemo,
+    render_rib_records,
+    render_snapshot,
+)
 from repro.simulation.updates import UpdateStreamConfig, generate_update_records
 from repro.topology.evolution import WorldParams
 from repro.topology.world import World
@@ -61,11 +65,22 @@ class SimulatedInternet:
         """Advance the world to ``when`` (growth + churn)."""
         self.world.advance_to(_as_timestamp(when))
 
-    def rib_records(self, when: TimeLike, family: int = AF_INET) -> Iterator[RouteRecord]:
-        """Advance to ``when`` and stream the RIB dump of all peers."""
+    def rib_records(
+        self,
+        when: TimeLike,
+        family: int = AF_INET,
+        memo: Optional[RenderMemo] = None,
+    ) -> Iterator[RouteRecord]:
+        """Advance to ``when`` and stream the RIB dump of all peers.
+
+        ``memo`` shares attribute bundles across the renders it is
+        passed to (see :class:`~repro.simulation.snapshot.RenderMemo`).
+        """
         moment = _as_timestamp(when)
         self.world.advance_to(moment)
-        return render_rib_records(self.world, self.engine, family, moment)
+        return render_rib_records(
+            self.world, self.engine, family, moment, memo=memo
+        )
 
     def rib_snapshot(self, when: TimeLike, family: int = AF_INET) -> RIBSnapshot:
         """Advance to ``when`` and materialise the cross-peer snapshot."""

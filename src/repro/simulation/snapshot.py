@@ -18,6 +18,7 @@ from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.bgp.rib import RIBSnapshot
 from repro.net.aspath import ASPath
 from repro.net.prefix import AF_INET, Prefix
+from repro.obs import get_tracer
 from repro.simulation import artifacts as art
 from repro.simulation.routing import Route, RouteSource
 from repro.topology.world import PeerSpec, World
@@ -54,20 +55,49 @@ def _vp_tables(
     return tables
 
 
+class RenderMemo:
+    """The attribute bundles that several renders share.
+
+    A quarter's snapshots render mostly the same routes, so each
+    (peer ASN, table path, TE tag) becomes one :class:`PathAttributes`
+    and one :class:`ASPath`, whichever render meets it first.  Bundles
+    are immutable and every consumer compares them by value, so sharing
+    changes no record; it lets identity short-circuit equality in
+    sanitize, the RIB tables and the atom kernel.  Per-prefix mutations
+    (AS_SET tails, artifact corruption) are never memoised.
+    ``attributes_built`` counts every bundle the renders built.
+
+    Whoever creates a memo drops it with the renders it serves (one
+    snapshot suite), so it never grows past one quarter's routes.
+    """
+
+    __slots__ = ("bundles", "attributes_built")
+
+    def __init__(self) -> None:
+        #: peer ASN -> {(table path, tag): bundle}
+        self.bundles: Dict[
+            int,
+            Dict[Tuple[Tuple[int, ...], Optional[Community]], PathAttributes],
+        ] = {}
+        self.attributes_built = 0
+
+
 class _AttributeFactory:
     """Builds RIB elements for one peer, sharing attribute objects.
 
     Most prefixes of a unit share the same recorded path, so the
-    ``PathAttributes`` bundle is cached per (path, tag); per-prefix
-    mutations (AS_SET tails, artifact corruption) bypass the cache.
+    ``PathAttributes`` bundle comes from the memo's entry for this
+    peer's (path, tag); per-prefix mutations bypass the memo.
     """
 
-    def __init__(self, peer: PeerSpec, world: World, when: int):
+    def __init__(self, peer: PeerSpec, world: World, when: int,
+                 memo: RenderMemo):
         self.peer = peer
         self.world = world
         self.when = when
         self.artifact = peer.artifact if peer.artifact_active(when) else ""
-        self._cache: Dict[Tuple[Tuple[int, ...], Optional[Community]], PathAttributes] = {}
+        self.memo = memo
+        self._cache = memo.bundles.setdefault(peer.asn, {})
 
     def element(self, prefix: Prefix, route: Route,
                 tag: Optional[Community]) -> RouteElement:
@@ -88,6 +118,7 @@ class _AttributeFactory:
                 communities = (tag,) if tag is not None else ()
                 attributes = PathAttributes(recorded, communities=communities)
                 self._cache[key] = attributes
+                self.memo.attributes_built += 1
             return RouteElement(ElementType.RIB, prefix, attributes)
 
         recorded = ASPath.from_asns((peer.asn,) + route.path)
@@ -100,6 +131,7 @@ class _AttributeFactory:
         elif self.artifact == "addpath" and art.stable_fraction(prefix, 9) < 0.15:
             recorded = art.garble_path(recorded, peer.asn)
         communities = (tag,) if tag is not None else ()
+        self.memo.attributes_built += 1
         return RouteElement(
             ElementType.RIB, prefix, PathAttributes(recorded, communities=communities)
         )
@@ -110,9 +142,21 @@ def render_rib_records(
     engine: RouteSource,
     family: int = AF_INET,
     when: Optional[int] = None,
+    memo: Optional[RenderMemo] = None,
 ) -> Iterator[RouteRecord]:
-    """Yield the RIB dump of every collector peer at the current instant."""
+    """Yield the RIB dump of every collector peer at the current instant.
+
+    ``memo`` shares attribute bundles with the other renders it serves.
+    Without one, each peer's bundles are shared within its own dump and
+    dropped from the index once its elements are built, so a render
+    holds one peer's index at a time.  When tracing, the bundles this
+    render built are counted once, at the end.
+    """
     moment = world.current_time if when is None else when
+    shared = memo is not None
+    if memo is None:
+        memo = RenderMemo()
+    built = memo.attributes_built
     tables = _vp_tables(world, engine, family)
 
     # One address-ordered prefix universe shared by all peers: sorting
@@ -130,7 +174,7 @@ def render_rib_records(
             peer.artifact == "duplicates" and peer.artifact_active(moment)
         )
         addpath_active = peer.artifact == "addpath" and peer.artifact_active(moment)
-        factory = _AttributeFactory(peer, world, moment)
+        factory = _AttributeFactory(peer, world, moment, memo)
 
         elements: List[RouteElement] = []
         for prefix in ordered_universe:
@@ -145,6 +189,8 @@ def render_rib_records(
             elements.append(element)
             if duplicates_active and art.stable_fraction(prefix, 777) < 0.15:
                 elements.append(element)
+        if not shared:
+            del memo.bundles[peer.asn]
 
         record_index = 0
         for start in range(0, len(elements), RIB_RECORD_CHUNK):
@@ -166,10 +212,15 @@ def render_rib_records(
 
     # Stuck routes: phantom prefixes at a single collector (v4 only).
     if family == AF_INET and world.params.inject_artifacts:
-        yield from _stuck_route_records(world, moment)
+        yield from _stuck_route_records(world, moment, memo)
+
+    tracer = get_tracer()
+    if tracer.enabled and memo.attributes_built > built:
+        tracer.count("render.attributes_built", memo.attributes_built - built)
 
 
-def _stuck_route_records(world: World, moment: int) -> Iterator[RouteRecord]:
+def _stuck_route_records(world: World, moment: int,
+                         memo: RenderMemo) -> Iterator[RouteRecord]:
     rng = derive_rng(world.params.seed, "stuck", moment // (86400 * 30))
     if rng.random() > 0.4 or not world.layout.collectors:
         return
@@ -193,6 +244,7 @@ def _stuck_route_records(world: World, moment: int) -> Iterator[RouteRecord]:
             )
             for prefix in phantom
         ]
+        memo.attributes_built += len(elements)
         yield RouteRecord(
             "rib", project, collector, peer.asn, peer.address, moment, elements
         )

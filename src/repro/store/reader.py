@@ -446,6 +446,68 @@ class AtomStore:
                 tracer.count("store.snapshots_loaded")
         return atom_set
 
+    def atom_columns(
+        self, key: str
+    ) -> Tuple[List[Tuple[int, memoryview, memoryview]],
+               List[Tuple[Optional[ASPath], ...]]]:
+        """Snapshot ``key``'s stored columns and each atom's path vector.
+
+        Returns ``(shards, vectors)``: per shard ``(rows, head, atom
+        column)``, where ``head`` is the payload from its counts through
+        the atom column and the atom column holds ``atom_id + 1`` per
+        row; per atom id, its path vector read at the atom's first row.
+        This is what copying a snapshot into another store needs
+        (:meth:`~repro.store.writer.StoreWriter.copy_snapshot`): no
+        prefix is decoded and no atom is built.  The checks are those
+        of :meth:`atoms`: atom ids first appear in row order, path ids
+        lie inside the path table, and the atom and prefix counts match
+        the manifest.  The views live until the store closes.
+        """
+        entry = self.snapshot(key)
+        table = self.path_table()
+        vps = len(entry.vantage_points)
+        shards: List[Tuple[int, memoryview, memoryview]] = []
+        vectors: List[Tuple[Optional[ASPath], ...]] = []
+        prefixes = 0
+        for shard in entry.shards:
+            _, columns, rows = self._shard_columns(entry, shard)
+            atom_column = columns[:rows]
+            prefixes += rows
+            for row, stamped in enumerate(atom_column):
+                if stamped > len(vectors):
+                    if stamped - 1 != len(vectors):
+                        raise StoreError(
+                            f"{shard.file}: atom id {stamped - 1} appears "
+                            f"before {len(vectors) - 1} was introduced"
+                        )
+                    try:
+                        vectors.append(tuple(
+                            table[columns[(1 + vp) * rows + row]]
+                            for vp in range(vps)
+                        ))
+                    except IndexError:
+                        raise StoreError(
+                            f"{shard.file}: path id beyond the path table"
+                        ) from None
+                elif not stamped:
+                    prefixes -= 1  # an absent row holds no prefix
+            payload = self._map_segment(shard.file, KIND_COLUMNS)
+            shards.append(
+                (rows, payload[:len(payload) - KEY_WIDTH * rows * vps],
+                 atom_column)
+            )
+        if len(vectors) != entry.atom_count:
+            raise StoreError(
+                f"snapshot {key!r} holds {len(vectors)} atoms, manifest "
+                f"says {entry.atom_count}"
+            )
+        if prefixes != entry.prefixes:
+            raise StoreError(
+                f"snapshot {key!r} holds {prefixes} prefixes, manifest "
+                f"says {entry.prefixes}"
+            )
+        return shards, vectors
+
     # ------------------------------------------------------------------
     # Point queries
     # ------------------------------------------------------------------

@@ -24,10 +24,12 @@ manifest references only fully written, digest-stamped segments.
 The module also hosts the engine integration helpers: sweep workers
 persist self-contained per-job **parts** (mini-stores under
 ``<root>/parts/<job digest>/``) and :func:`merge_parts` folds them —
-in sweep order — into the final store, re-interning paths into one
-global table.  Parts stay on disk afterwards: their presence is what
-lets a cached re-run skip recomputation while keeping the store
-completable.
+in sweep order — into the final store as columns: each part shard's
+prefix and atom columns are copied byte for byte, and its path-id
+columns are remapped into one global table, so no atom is rebuilt and
+merged shards keep their part's row ranges.  Parts stay on disk
+afterwards: their presence is what lets a cached re-run skip
+recomputation while keeping the store completable.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import json
 import os
 from array import array
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.core.atoms import AtomSet
 from repro.core.intern import ID_TYPECODE, KEY_WIDTH, PathInternPool
@@ -49,14 +51,19 @@ from repro.store.format import (
     FORMAT_VERSION,
     KIND_COLUMNS,
     KIND_PATHS,
+    PREFIX_RECORD,
     StoreError,
     column_padding,
+    decode_prefix,
     digest,
     encode_path_table,
     encode_prefix,
     frame_segment,
     peer_id_to_json,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the reader imports this module
+    from repro.store.reader import AtomStore
 
 #: Default maximum prefix rows per column shard.
 DEFAULT_SHARD_ROWS = 65536
@@ -129,12 +136,19 @@ def sweep_stale_tmp(directory: os.PathLike) -> int:
     return removed
 
 
+def _prefix_at(payload, row: int) -> str:
+    """The prefix of ``row`` in a columns payload, as the manifest shows it."""
+    start = COLUMN_COUNTS.size + row * PREFIX_RECORD.size
+    return str(decode_prefix(payload[start:start + PREFIX_RECORD.size]))
+
+
 class StoreWriter:
     """Builds one columnar atom store under ``root``.
 
-    Call :meth:`add_snapshot` once per computed snapshot (in sweep
-    order — the manifest preserves insertion order) and :meth:`close`
-    exactly once to seal the store.  The normalisation options describe
+    Call :meth:`add_snapshot` once per computed snapshot, or
+    :meth:`copy_snapshot` for one of another store (in sweep order —
+    the manifest preserves insertion order), and :meth:`close` exactly
+    once to seal the store.  The normalisation options describe
     how the stored atoms were produced; they are recorded in the
     manifest so a reloaded pool carries the same semantics.
     """
@@ -208,14 +222,7 @@ class StoreWriter:
         need but the columns cannot reproduce (full-feed counts, the
         sanitization headline); pass them for base snapshots.
         """
-        if self._closed:
-            raise StoreError("writer already closed")
-        if key in self._keys:
-            raise StoreError(f"duplicate snapshot key {key!r}")
-        if "/" in key or "\\" in key or key in ("", ".", ".."):
-            raise StoreError(f"invalid snapshot key {key!r}")
-        self._keys.add(key)
-
+        self._claim_key(key)
         tracer = get_tracer()
         with tracer.span("store-write", key=key) as span:
             prefixes = sorted(atoms.by_prefix, key=Prefix.key)
@@ -261,27 +268,115 @@ class StoreWriter:
                     }
                 )
 
-            entry: Dict[str, Any] = {
-                "key": key,
-                "label": label,
-                "role": role,
-                "year": year,
-                "month": month,
-                "family": family,
-                "timestamp": atoms.timestamp,
-                "vantage_points": [
-                    peer_id_to_json(peer) for peer in vantage_points
-                ],
-                "prefixes": rows,
-                "atoms": len(atoms),
-                "feed": feed,
-                "report": report,
-                "shards": shards,
-            }
-            self._snapshots.append(entry)
-            if tracer.enabled:
-                span.set(prefixes=rows, atoms=len(atoms), shards=len(shards))
-                tracer.count("store.snapshots_written")
+            return self._seal(
+                span, key, atoms.timestamp, vantage_points, rows, len(atoms),
+                shards, label=label, role=role, year=year, month=month,
+                family=family, feed=feed, report=report,
+            )
+
+    def copy_snapshot(self, store: "AtomStore", key: str) -> Dict[str, Any]:
+        """Persist snapshot ``key`` of another store; returns its entry.
+
+        The result is what :meth:`add_snapshot` writes for
+        ``store.atoms(key)`` with the same metadata, shard for shard,
+        but no atom is rebuilt: each shard's prefix and atom columns
+        are copied as they are, and its path-id columns are remapped
+        into this writer's pool.  Paths are interned in the order
+        :meth:`add_snapshot` uses, first seen by atom id and then by
+        vantage point, so the path table comes out the same too.
+        Shards keep ``store``'s row ranges.  Everything is read through
+        :meth:`~repro.store.reader.AtomStore.atom_columns`, whose checks
+        raise :class:`StoreError` for a malformed source.
+        """
+        source = store.snapshot(key)
+        shard_columns, vectors = store.atom_columns(key)
+        self._claim_key(key)
+        tracer = get_tracer()
+        with tracer.span("store-write", key=key) as span:
+            intern_id = self.pool.id_for_path
+            ids = [[intern_id(path) for path in vector] for vector in vectors]
+            # id_columns[vp][stamp]: the path id of atom ``stamp - 1``
+            id_columns = [
+                [0] + [vector[vp] for vector in ids]
+                for vp in range(len(source.vantage_points))
+            ]
+            shards: List[Dict[str, Any]] = []
+            for rows, head, atom_column in shard_columns:
+                relpath = f"snapshots/{key}/shard-{len(shards):04d}.seg"
+                payload = [head]
+                payload.extend(
+                    array(ID_TYPECODE, map(column.__getitem__, atom_column))
+                    .tobytes()
+                    for column in id_columns
+                )
+                self._write_segment(relpath, KIND_COLUMNS, b"".join(payload))
+                shards.append(
+                    {
+                        "file": relpath,
+                        "rows": rows,
+                        "first": _prefix_at(head, 0),
+                        "last": _prefix_at(head, rows - 1),
+                    }
+                )
+            return self._seal(
+                span, key, source.timestamp, source.vantage_points,
+                source.prefixes, source.atom_count, shards,
+                label=source.label, role=source.role, year=source.year,
+                month=source.month, family=source.family, feed=source.feed,
+                report=source.report,
+            )
+
+    def _claim_key(self, key: str) -> None:
+        """Reserve ``key`` for one snapshot of this store."""
+        if self._closed:
+            raise StoreError("writer already closed")
+        if key in self._keys:
+            raise StoreError(f"duplicate snapshot key {key!r}")
+        if "/" in key or "\\" in key or key in ("", ".", ".."):
+            raise StoreError(f"invalid snapshot key {key!r}")
+        self._keys.add(key)
+
+    def _seal(
+        self,
+        span,
+        key: str,
+        timestamp: int,
+        vantage_points: Sequence[Any],
+        prefixes: int,
+        atom_count: int,
+        shards: List[Dict[str, Any]],
+        *,
+        label: str,
+        role: str,
+        year: float,
+        month: int,
+        family: int,
+        feed: Optional[Dict[str, Any]],
+        report: Optional[Dict[str, Any]],
+    ) -> Dict[str, Any]:
+        """Add a written snapshot to the manifest; returns its entry."""
+        entry: Dict[str, Any] = {
+            "key": key,
+            "label": label,
+            "role": role,
+            "year": year,
+            "month": month,
+            "family": family,
+            "timestamp": timestamp,
+            "vantage_points": [
+                peer_id_to_json(peer) for peer in vantage_points
+            ],
+            "prefixes": prefixes,
+            "atoms": atom_count,
+            "feed": feed,
+            "report": report,
+            "shards": shards,
+        }
+        self._snapshots.append(entry)
+        tracer = get_tracer()
+        if tracer.enabled:
+            span.set(prefixes=prefixes, atoms=atom_count, shards=len(shards))
+            tracer.count("store.snapshots_written")
         return entry
 
     def close(self) -> Path:
@@ -357,16 +452,16 @@ def write_part(
     return writer.close()
 
 
-def merge_parts(
-    root: os.PathLike,
-    job_keys: Sequence[str],
-    shard_rows: int = DEFAULT_SHARD_ROWS,
-) -> Path:
+def merge_parts(root: os.PathLike, job_keys: Sequence[str]) -> Path:
     """Fold per-job parts into the final store at ``root``.
 
     ``job_keys`` give the sweep order; every part must be complete
     (:func:`part_complete`) or :class:`StoreError` names the missing
-    jobs.  Returns the final manifest path.
+    jobs.  Each part opens with digest verification and every snapshot
+    is copied as columns (:meth:`StoreWriter.copy_snapshot`), so the
+    merged shards keep their part's row ranges and the store equals one
+    written from the parts' rebuilt atoms.  Returns the final manifest
+    path.
     """
     from repro.store.reader import AtomStore
 
@@ -380,21 +475,11 @@ def merge_parts(
         )
     tracer = get_tracer()
     with tracer.span("store-merge", parts=len(job_keys)):
-        writer = StoreWriter(root, shard_rows=shard_rows)
+        writer = StoreWriter(root)
         for job_key in job_keys:
-            with AtomStore(part_dir(root, job_key)) as part:
+            with AtomStore(part_dir(root, job_key), verify=True) as part:
                 for entry in part.snapshots():
-                    writer.add_snapshot(
-                        entry.key,
-                        part.atoms(entry.key),
-                        label=entry.label,
-                        role=entry.role,
-                        year=entry.year,
-                        month=entry.month,
-                        family=entry.family,
-                        feed=entry.feed,
-                        report=entry.report,
-                    )
+                    writer.copy_snapshot(part, entry.key)
             if tracer.enabled:
                 tracer.count("store.parts_merged")
         return writer.close()

@@ -45,6 +45,41 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"argument {option}: {message}" in err
 
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("trend", "--scale", "0", "must be >= 1"),
+        ("trend", "--scale", "-5", "must be >= 1"),
+        ("trend", "--step", "0", "must be >= 1"),
+        ("trend", "--step", "-1", "must be >= 1"),
+        ("trend", "--peer-scale", "nan", "must be a finite number >= 0"),
+        ("trend", "--peer-scale", "-1", "must be a finite number >= 0"),
+        ("atoms", "--scale", "0", "must be >= 1"),
+        ("converge", "--peer-scale", "inf", "must be a finite number >= 0"),
+        ("simulate", "--update-hours", "nan", "must be a finite number >= 0"),
+        ("simulate", "--update-hours", "-3", "must be a finite number >= 0"),
+        ("simulate", "--update-hours", "inf", "must be a finite number >= 0"),
+    ])
+    def test_sweep_inputs_rejected(self, tmp_path, capsys, command, option,
+                                   value, message):
+        argv = [command] + COMMON + [option, value]
+        if command == "simulate":
+            argv += ["--archive", str(tmp_path / "archive")]
+        if command == "trend":
+            argv += ["--first-year", "2006", "--last-year", "2006",
+                     "--no-stability"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {option}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["trend"], ["store", "build", "s"]])
+    def test_year_range_must_not_run_backwards(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + COMMON + ["--first-year", "2010",
+                                     "--last-year", "2005"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--first-year 2010 is after --last-year 2005" in err
+
 
 class TestCommands:
     def test_atoms_from_simulation(self, capsys):
