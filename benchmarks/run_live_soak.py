@@ -6,12 +6,13 @@ fixture is authored here: path flaps, withdrawals, re-announcements,
 prefix births, a foreign peer and a withdraw-before-announce), then
 drives the ``repro live`` CLI through three phases:
 
-1. **reference** — an uninterrupted traced run; its ``live.*`` and
-   ``decode.*`` counters (the latter pin how many distinct paths and
-   attribute bundles the archive read decoded) are compared against
-   the ``live-soak`` key of ``trace_expectations.json`` (counters
-   only, never timings — the same policy as
-   ``check_trace_counters.py``);
+1. **reference** — an uninterrupted traced run; its ``live.*``,
+   ``decode.*`` and ``atoms.*`` counters (``decode.*`` pins how many
+   distinct paths and attribute bundles the archive read decoded,
+   ``atoms.normalise_cache_misses`` that window parity normalises each
+   distinct path once per run) are compared against the ``live-soak``
+   key of ``trace_expectations.json`` (counters only, never timings —
+   the same policy as ``check_trace_counters.py``);
 2. **kill** — the same stream stopped after ``--max-windows k`` with a
    checkpoint directory and a store sink, simulating a crash at a
    window boundary, once for every boundary ``k`` but the last;
@@ -62,7 +63,7 @@ EXPECTATIONS = HERE / "trace_expectations.json"
 SCENARIO = "live-soak"
 
 #: Counter families the reference run gates.
-GATED_PREFIXES = ("live.", "decode.")
+GATED_PREFIXES = ("live.", "decode.", "atoms.")
 
 #: Window width of the soak stream (seconds).
 WINDOW = 100
@@ -351,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     windows = payload["reference"]["windows"]
     print(
-        f"{len(payload['counters'])} live and decode counters match "
+        f"{len(payload['counters'])} live, decode and atoms counters match "
         "expectations; "
         f"{len(windows)} windows, parity verified at "
         f"{payload['reference']['parity_checks']} boundaries, "

@@ -71,6 +71,7 @@ from repro.serve.app import ServeApp
 from repro.serve.cache import DEFAULT_MAX_ENTRIES
 from repro.simulation.events import ConvergenceError, quiescence_parity
 from repro.simulation.scenario import SCENARIOS, SimulatedInternet
+from repro.simulation.updates import update_window
 from repro.store import AtomStore, StoreError
 from repro.store import FORMAT_VERSION as STORE_FORMAT_VERSION
 from repro.stream.archive import RecordArchive
@@ -189,6 +190,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _world_params(args)
     stamp = parse_utc(args.start)
     family = AF_INET if args.family == 4 else AF_INET6
+    if args.update_hours > 0:
+        try:
+            update_window(stamp, args.update_hours)
+        except ValueError as error:
+            print(f"repro simulate: error: argument --update-hours: {error}",
+                  file=sys.stderr)
+            raise SystemExit(2) from None
     internet = SimulatedInternet(params, start=stamp)
     archive = RecordArchive(args.archive)
     rib_files = archive.write_dump(

@@ -34,7 +34,11 @@ from repro.simulation.snapshot import (
     render_rib_records,
     render_snapshot,
 )
-from repro.simulation.updates import UpdateStreamConfig, generate_update_records
+from repro.simulation.updates import (
+    UpdateStreamConfig,
+    generate_update_records,
+    update_window,
+)
 from repro.topology.evolution import WorldParams
 from repro.topology.world import World
 from repro.util.dates import parse_utc
@@ -95,8 +99,13 @@ class SimulatedInternet:
         family: int = AF_INET,
         config: Optional[UpdateStreamConfig] = None,
     ) -> List[RouteRecord]:
-        """Advance to ``start`` and generate the following update stream."""
+        """Advance to ``start`` and generate the following update stream.
+
+        Raises ValueError, before advancing, for a window
+        :func:`~repro.simulation.updates.update_window` refuses.
+        """
         moment = _as_timestamp(start)
+        update_window(moment, hours)
         self.world.advance_to(moment)
         return generate_update_records(
             self.world, self.engine, moment, hours, family, config

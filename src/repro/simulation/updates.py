@@ -80,17 +80,54 @@ class UpdateStreamConfig:
         )
 
 
+#: The largest mean one Knuth draw takes: ``e**-lam`` underflows to 0.0
+#: near 745, after which the product test would stop near 745 whatever
+#: the mean.
+POISSON_CHUNK = 700.0
+
+#: The last second an MRT header's 32-bit timestamp can hold (RFC 6396 §2).
+MRT_TIME_MAX = 2**32 - 1
+
+
 def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's method; fine for the small rates used here."""
+    """Knuth's method, over chunks of mean at most :data:`POISSON_CHUNK`.
+
+    A sum of independent Poisson draws is a Poisson draw of the summed
+    mean, so a larger mean is drawn in chunks; a mean up to the chunk
+    is a single Knuth draw.
+    """
     if lam <= 0:
         return 0
-    level = 2.718281828459045 ** (-lam)
     count = 0
+    while lam > POISSON_CHUNK:
+        count += _poisson(rng, POISSON_CHUNK)
+        lam -= POISSON_CHUNK
+    level = 2.718281828459045 ** (-lam)
     product = rng.random()
     while product > level:
         count += 1
         product *= rng.random()
     return count
+
+
+def update_window(start: int, hours: float) -> int:
+    """The update window of ``hours`` after ``start``, in whole seconds.
+
+    Raises ValueError when the window rounds to 0 s, or when it ends
+    after :data:`MRT_TIME_MAX`, which also keeps its length a finite
+    whole number.  Only the window's end is bounded: an event drawn
+    near it is stamped up to a few minutes later, and a session reset
+    spreads its table over one more second per 200 prefixes.
+    """
+    seconds = hours * HOUR
+    if not seconds >= 1:  # NaN too
+        raise ValueError(f"a {hours:g} h window rounds to 0 s")
+    if not start + seconds <= MRT_TIME_MAX:
+        raise ValueError(
+            f"a {hours:g} h window ends after {MRT_TIME_MAX}, the last "
+            f"second an MRT timestamp can hold (start {start})"
+        )
+    return int(seconds)
 
 
 def _announcement(peer: PeerSpec, prefix: Prefix, route: Route) -> RouteElement:
@@ -155,7 +192,9 @@ def generate_update_records(
 
     The world state is not advanced; transient events are drawn on top
     of the current routing state.  Records are returned time-sorted.
+    Raises ValueError for a window :func:`update_window` refuses.
     """
+    window = update_window(start, hours)
     if config is None:
         config = UpdateStreamConfig.for_year(world.profile.year)
     rng = derive_rng(world.params.seed, "updates", start, family)
@@ -163,7 +202,6 @@ def generate_update_records(
     peers = [p for p in world.layout.peers if p.asn in tables]
     if not peers:
         return []
-    window = int(hours * HOUR)
     records: List[RouteRecord] = []
 
     def emit(peer: PeerSpec, when: int, prefixes: Sequence[Prefix],

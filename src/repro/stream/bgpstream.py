@@ -96,7 +96,9 @@ class BGPStream:
             until = self.until_time
             if until is None:
                 raise ValueError("until_time is required for update streams")
-            hours = max(0.0, (until - self.from_time) / 3600.0)
+            if until <= self.from_time:
+                return  # a simulated window under 1 s holds no updates
+            hours = (until - self.from_time) / 3600.0
             for record in simulator.update_records(
                 self.from_time, hours=hours, family=self.family
             ):

@@ -14,8 +14,13 @@ the dirty prefixes only, so per-window work is proportional to churn,
 not to table size, and emits an :class:`~repro.core.atoms.AtomSet`
 that is value-identical — atom ids and ordering included — to a cold
 :func:`~repro.core.atoms.compute_atoms` over the same RIB;
-``parity="window"`` proves exactly that at every boundary with a
-fresh intern pool.
+``parity="window"`` proves exactly that at every boundary.  The cold
+recompute regroups every RIB cell of every vantage point each time,
+but through an intern pool of its own that lives for the run (never
+the index's), so each distinct path is normalised once per run rather
+than once per window.  Each window's ``Pr_full`` is read from the
+entering partition's own prefix index
+(:func:`~repro.stream.windows.window_correlation`).
 
 Crash safety comes from
 :class:`~repro.engine.checkpoint.StreamCheckpoint`: every
@@ -56,6 +61,7 @@ from repro.bgp.messages import ElementType, RouteRecord
 from repro.bgp.rib import PeerId, RIBSnapshot
 from repro.core.atoms import AtomSet, compute_atoms
 from repro.core.incremental import AtomIndex
+from repro.core.intern import PathInternPool
 from repro.engine.checkpoint import StreamCheckpoint, StreamCheckpointError
 from repro.obs import TracerLike, get_tracer
 from repro.store.writer import MANIFEST_NAME, PARTS_DIR, merge_parts, write_part
@@ -117,6 +123,8 @@ class LiveConfig:
             raise ValueError("store_merge_every must be >= 0")
         if self.parity not in ("off", "window"):
             raise ValueError(f"unknown parity mode {self.parity!r}")
+        if self.correlation_max_size is not None and self.correlation_max_size < 1:
+            raise ValueError("correlation_max_size must be >= 1 or None")
         if self.checkpoint_dir is not None:
             self.checkpoint_dir = Path(self.checkpoint_dir)
         if self.store_dir is not None:
@@ -205,6 +213,10 @@ class LivePipeline:
         #: the replay cursor: records consumed and a digest of them
         self._consumed = 0
         self._digest = hashlib.sha256()
+        #: window parity's own intern pool for the run, never the index's
+        self._parity_pool = PathInternPool(
+            self.config.expand_singleton_sets, self.config.strip_prepending
+        )
 
     def _consume(self, record: RouteRecord) -> None:
         """Advance the replay cursor past ``record``."""
@@ -242,12 +254,15 @@ class LivePipeline:
         window_end: int,
         tracer: TracerLike,
     ) -> None:
+        # The run-long pool normalises each distinct path once, while the
+        # recompute still regroups every cell.
         with tracer.span("live-parity", window_end=window_end) as span:
             cold = compute_atoms(
                 self._snapshot,
                 vantage_points=self._vps,
                 expand_singleton_sets=self.config.expand_singleton_sets,
                 strip_prepending=self.config.strip_prepending,
+                pool=self._parity_pool,
             )
             problems = _diff_atom_sets(streamed, cold)
             if tracer.enabled:

@@ -7,8 +7,9 @@ window boundary the pipeline refreshes the atom partition and emits one
 :class:`WindowResult` — the streaming analogue of the paper's
 per-quarter rows, reusing the same churn notions (atom prefix-set
 creation/removal, as in :mod:`repro.core.stability`) and the
-atoms-vs-updates correlation of §3.3 (:mod:`repro.core.update_correlation`)
-evaluated over just that window's records.
+atom-level ``Pr_full`` of §3.3's atoms-vs-updates correlation
+(:mod:`repro.core.update_correlation`) evaluated over just that
+window's records.
 
 Everything in a :class:`WindowResult` except the wall-clock fields is a
 deterministic function of the replayed stream, which is what lets CI
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bgp.messages import RouteRecord
-from repro.core.atoms import AtomSet
-from repro.core.update_correlation import (
-    GROUP_ATOM,
-    UpdateCorrelation,
-    update_correlation,
-)
+from repro.core.atoms import AtomSet, PolicyAtom
 from repro.reporting.series import Series
 from repro.reporting.tables import render_table
 
@@ -93,25 +89,6 @@ class WindowResult:
         return payload
 
 
-def overall_pr_full(
-    correlation: UpdateCorrelation, kind: str = GROUP_ATOM
-) -> Optional[float]:
-    """Aggregate ``Pr_full`` across all sizes of one group kind.
-
-    The per-size curves feed the paper's Figure 3; a window wants one
-    number, so full and partial appearances are pooled over every group
-    observed in the window.  None when no group was touched at all.
-    """
-    n_all = 0
-    n_total = 0
-    for counts in correlation.groups.get(kind, {}).values():
-        n_all += counts.n_all
-        n_total += counts.n_all + counts.n_partial
-    if n_total == 0:
-        return None
-    return n_all / n_total
-
-
 def window_correlation(
     atoms: AtomSet,
     records: Iterable[RouteRecord],
@@ -121,8 +98,34 @@ def window_correlation(
 
     ``atoms`` is the partition *entering* the window (records update
     prefixes against the structure that existed while they arrived).
+    Each update record counts once per atom it touches, found through
+    the partition's prefix index: a full hit when it carries all of the
+    atom's prefixes, a partial one otherwise.  Hits are pooled over
+    every touched atom of at most ``max_size`` prefixes, which is
+    §3.3's atom-level count summed over all sizes.  None when no atom
+    was touched.
     """
-    return overall_pr_full(update_correlation(atoms, records, max_size=max_size))
+    by_prefix = atoms.by_prefix
+    n_all = 0
+    n_total = 0
+    for record in records:
+        if record.record_type != "update":
+            continue
+        touched: Dict[PolicyAtom, int] = {}
+        for prefix in record.prefixes():
+            atom = by_prefix.get(prefix)
+            if atom is not None:
+                touched[atom] = touched.get(atom, 0) + 1
+        for atom, hits in touched.items():
+            size = len(atom.prefixes)
+            if max_size is not None and size > max_size:
+                continue
+            n_total += 1
+            if hits == size:
+                n_all += 1
+    if n_total == 0:
+        return None
+    return n_all / n_total
 
 
 def window_churn(previous: Optional[AtomSet], current: AtomSet) -> "tuple[int, int]":

@@ -4,7 +4,12 @@ import pytest
 
 from repro.net.prefix import AF_INET6
 from repro.simulation.scenario import SimulatedInternet
-from repro.simulation.updates import UpdateStreamConfig, _poisson
+from repro.simulation.updates import (
+    MRT_TIME_MAX,
+    UpdateStreamConfig,
+    _poisson,
+    update_window,
+)
 from repro.util.dates import HOUR
 from repro.util.determinism import derive_rng
 from tests.conftest import TEST_WORLD
@@ -113,3 +118,81 @@ class TestPoisson:
         samples = [_poisson(rng, 2.0) for _ in range(2000)]
         mean = sum(samples) / len(samples)
         assert 1.8 < mean < 2.2
+
+    @pytest.mark.parametrize("lam", [1800.0, 12000.0])
+    def test_mean_tracks_large_rates(self, lam):
+        """One Knuth draw stops near 745 once ``e**-lam`` underflows;
+        200 draws must average within four standard errors of lam."""
+        rng = derive_rng(1, "poisson", lam)
+        samples = [_poisson(rng, lam) for _ in range(200)]
+        mean = sum(samples) / len(samples)
+        assert abs(mean - lam) < 4 * (lam / len(samples)) ** 0.5
+
+    @pytest.mark.parametrize("lam", [0.004, 0.7, 3.0, 45.5, 699.9, 700.0])
+    def test_draws_up_to_the_chunk_are_unchanged(self, lam):
+        """Every archive drawn at these rates stays byte-identical."""
+        ours = derive_rng(7, "poisson", lam)
+        theirs = derive_rng(7, "poisson", lam)
+        for _ in range(50):
+            assert _poisson(ours, lam) == _knuth_reference(theirs, lam)
+        assert ours.random() == theirs.random()
+
+
+def _knuth_reference(rng, lam):
+    """The sampler before large means were chunked."""
+    if lam <= 0:
+        return 0
+    level = 2.718281828459045 ** (-lam)
+    count = 0
+    product = rng.random()
+    while product > level:
+        count += 1
+        product *= rng.random()
+    return count
+
+
+class TestWindow:
+    def test_whole_seconds(self):
+        assert update_window(1_000, 4.0) == 4 * HOUR
+        assert update_window(1_000, 0.001) == 3
+
+    @pytest.mark.parametrize("hours", [0.0, 0.0002, -1.0, float("nan")])
+    def test_window_under_a_second_is_refused(self, hours):
+        with pytest.raises(ValueError, match="rounds to 0 s"):
+            update_window(1_000, hours)
+
+    @pytest.mark.parametrize("hours", [1e306, float("inf"), 1.2e6])
+    def test_window_past_the_mrt_clock_is_refused(self, hours):
+        with pytest.raises(ValueError, match="ends after 4294967295"):
+            update_window(1_728_979_200, hours)
+
+    def test_last_mrt_second_is_allowed(self):
+        assert update_window(MRT_TIME_MAX - HOUR, 1.0) == HOUR
+
+    def test_refused_window_leaves_the_world_where_it_was(self):
+        sim = SimulatedInternet(TEST_WORLD, start="2024-10-15 08:00")
+        before = sim.current_time
+        with pytest.raises(ValueError, match="rounds to 0 s"):
+            sim.update_records(before + HOUR, hours=0.0)
+        assert sim.current_time == before
+
+    def test_session_reset_in_a_sub_second_window(self):
+        """A drawn reset used to call ``randrange(0)``; the window check
+        refuses first, and a one-second window draws resets fine."""
+        sim = SimulatedInternet(TEST_WORLD, start="2024-10-15 08:00")
+        resets = UpdateStreamConfig(
+            unit_event_rate_volatile=0.0,
+            unit_event_rate_stable=0.0,
+            prefix_flap_rate=0.0,
+            session_reset_prob=1.0,
+        )
+        with pytest.raises(ValueError, match="rounds to 0 s"):
+            sim.update_records(sim.current_time, hours=0.0002, config=resets)
+        records = sim.update_records(
+            sim.current_time, hours=1 / HOUR, config=resets
+        )
+        peers = {peer.peer_id for peer in sim.world.layout.peers}
+        assert {record.peer_id for record in records} <= peers
+        assert len({record.peer_id for record in records}) > 1
+        start = sim.current_time
+        assert all(record.timestamp >= start for record in records)

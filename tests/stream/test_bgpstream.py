@@ -34,6 +34,16 @@ class TestOverSimulator:
         records = list(stream)
         assert all(r.record_type == "update" for r in records)
 
+    def test_zero_length_update_window_is_empty(self):
+        sim = SimulatedInternet(TEST_WORLD, start="2004-01-15 08:00")
+        stream = BGPStream(
+            sim,
+            record_type="update",
+            from_time="2004-01-15 08:00",
+            until_time="2004-01-15 08:00",
+        )
+        assert list(stream) == []
+
     def test_collector_filter(self, internet_2004):
         collectors = internet_2004.world.layout.collectors
         chosen = collectors[0][1]

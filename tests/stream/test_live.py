@@ -20,12 +20,14 @@ from repro.engine.checkpoint import STATE_NAME, StreamCheckpointError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.store import AtomStore
+from repro.stream import live
 from repro.stream.archive import RecordArchive
 from repro.stream.live import (
     LiveConfig,
     LiveError,
     LiveParityError,
     LivePipeline,
+    _diff_atom_sets,
 )
 
 PEERS = [("rrc00", 1, "10.9.1.1"), ("rrc00", 2, "10.9.2.1"),
@@ -144,6 +146,9 @@ class TestLiveConfig:
             LiveConfig(parity="sometimes")
         with pytest.raises(ValueError):
             LiveConfig(store_merge_every=-1)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="correlation_max_size"):
+                LiveConfig(correlation_max_size=cap)
 
     def test_payload_holds_only_result_affecting_knobs(self):
         """Cadence, parity and the window cap stay out of the payload,
@@ -256,6 +261,51 @@ class TestLivePipeline:
         monkeypatch.setattr(AtomIndex, "_on_mutation", forgetful)
         with pytest.raises(LiveParityError, match=r"window end 200 \("):
             LivePipeline(full_stream(), LiveConfig(window_seconds=W)).run()
+
+    def test_parity_fires_in_a_late_window(self, monkeypatch):
+        """A mutation missed after two boundaries, with the parity pool
+        already warm, still fails the boundary that follows it."""
+        hidden = Prefix.parse("10.0.1.0/24")
+        mark_dirty = AtomIndex._on_mutation
+        closed = []
+
+        def forgetful(index, peer_id, prefix):
+            if len(closed) < 2 or prefix != hidden:
+                mark_dirty(index, peer_id, prefix)
+
+        monkeypatch.setattr(AtomIndex, "_on_mutation", forgetful)
+        with pytest.raises(LiveParityError, match=r"window end 400 \("):
+            LivePipeline(full_stream(), LiveConfig(window_seconds=W)).run(
+                on_window=closed.append
+            )
+        assert [w.index for w in closed] == [1, 2]
+
+    def test_warm_parity_pool_changes_nothing(self, monkeypatch):
+        """The run-long pool gives, at every boundary, the partition a
+        fresh pool gives, atom ids and path vectors included; it is
+        never the index's pool."""
+        pools = []
+        indexes = []
+
+        def both(snapshot, vantage_points, pool, **flags):
+            warm = compute_atoms(snapshot, vantage_points, pool=pool, **flags)
+            fresh = compute_atoms(snapshot, vantage_points, **flags)
+            assert _diff_atom_sets(warm, fresh) == []
+            pools.append(pool)
+            return warm
+
+        class RecordedIndex(AtomIndex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                indexes.append(self)
+
+        monkeypatch.setattr(live, "compute_atoms", both)
+        monkeypatch.setattr(live, "AtomIndex", RecordedIndex)
+        run = LivePipeline(full_stream(), LiveConfig(window_seconds=W)).run()
+        assert run.parity_checks == len(pools) == 3
+        assert all(pool is pools[0] for pool in pools)
+        assert len(pools[0]) > 0
+        assert len(indexes) == 1 and indexes[0].pool is not pools[0]
 
 
 class TestCheckpointResume:

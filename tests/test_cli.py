@@ -57,6 +57,9 @@ class TestParser:
         ("simulate", "--update-hours", "nan", "must be a finite number >= 0"),
         ("simulate", "--update-hours", "-3", "must be a finite number >= 0"),
         ("simulate", "--update-hours", "inf", "must be a finite number >= 0"),
+        ("simulate", "--update-hours", "0.0002", "a 0.0002 h window rounds to 0 s"),
+        ("simulate", "--update-hours", "1e306",
+         "a 1e+306 h window ends after 4294967295"),
     ])
     def test_sweep_inputs_rejected(self, tmp_path, capsys, command, option,
                                    value, message):
@@ -70,6 +73,8 @@ class TestParser:
             main(argv)
         assert exit_info.value.code == 2
         assert f"argument {option}: {message}" in capsys.readouterr().err
+        if command == "simulate":
+            assert not (tmp_path / "archive").exists()
 
     @pytest.mark.parametrize("command", [["trend"], ["store", "build", "s"]])
     def test_year_range_must_not_run_backwards(self, capsys, command):
