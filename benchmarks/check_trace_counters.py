@@ -1,12 +1,13 @@
 """Counter-based bench regression gate.
 
-Runs two small, fully deterministic ``repro trend`` sweeps (plain and
-incremental) with ``--trace``, rolls the traces' *counters* up into
+Runs small, fully deterministic ``repro trend`` sweeps (plain,
+store-backed, parallel and world-checkpointed) and ``repro converge``
+scenarios with ``--trace``, rolls the traces' *counters* up into
 ``BENCH_smoke.json`` and compares them against the committed
 expectations in ``trace_expectations.json``.
 
 Counters — records decoded, prefixes sanitized, normalise-cache hits,
-dirty-set economy, engine job sources — are exact functions of the
+engine job sources, converge events — are exact functions of the
 (seeded) simulated world, so any drift means the pipeline's work
 changed: a decoder regression, a sanitizer behavior change, a cache
 that stopped hitting.  Timings are deliberately never compared; shared
@@ -36,9 +37,7 @@ from repro.obs import load_trace
 HERE = Path(__file__).parent
 EXPECTATIONS = HERE / "trace_expectations.json"
 
-#: The smoke sweep: tiny world, a few years, deterministic seed.  The
-#: incremental scenario keeps the stability snapshots (several per
-#: quarter) so the dirty-set economy counters are exercised.
+#: The smoke sweep: tiny world, a few years, deterministic seed.
 BASE_ARGS = [
     "trend",
     "--scale", "400",
@@ -71,7 +70,6 @@ CONVERGE_ARGS = [
 
 SCENARIOS: Dict[str, List[str]] = {
     "trend": BASE_ARGS + ["--last-year", "2006", "--no-stability"],
-    "trend-incremental": BASE_ARGS + ["--last-year", "2005", "--incremental"],
     "trend-store": BASE_ARGS + ["--last-year", "2005",
                                 "--store-dir", STORE_DIR_TOKEN],
     # Parallel sweep: two workers return JSON payloads; job sources

@@ -7,12 +7,14 @@ prefix births, a foreign peer and a withdraw-before-announce), then
 drives the ``repro live`` CLI through three phases:
 
 1. **reference** — an uninterrupted traced run; its ``live.*``,
-   ``decode.*`` and ``atoms.*`` counters (``decode.*`` pins how many
-   distinct paths and attribute bundles the archive read decoded,
-   ``atoms.normalise_cache_misses`` that window parity normalises each
-   distinct path once per run) are compared against the ``live-soak``
-   key of ``trace_expectations.json`` (counters only, never timings —
-   the same policy as ``check_trace_counters.py``);
+   ``decode.*``, ``atoms.*`` and ``incremental.*`` counters
+   (``decode.*`` pins how many distinct paths and attribute bundles
+   the archive read decoded, ``atoms.normalise_cache_misses`` that
+   window parity normalises each distinct path once per run,
+   ``incremental.*`` the index's dirty-set economy) are compared
+   against the ``live-soak`` key of ``trace_expectations.json``
+   (counters only, never timings — the same policy as
+   ``check_trace_counters.py``);
 2. **kill** — the same stream stopped after ``--max-windows k`` with a
    checkpoint directory and a store sink, simulating a crash at a
    window boundary, once for every boundary ``k`` but the last;
@@ -63,7 +65,7 @@ EXPECTATIONS = HERE / "trace_expectations.json"
 SCENARIO = "live-soak"
 
 #: Counter families the reference run gates.
-GATED_PREFIXES = ("live.", "decode.", "atoms.")
+GATED_PREFIXES = ("live.", "decode.", "atoms.", "incremental.")
 
 #: Window width of the soak stream (seconds).
 WINDOW = 100
@@ -352,8 +354,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     windows = payload["reference"]["windows"]
     print(
-        f"{len(payload['counters'])} live, decode and atoms counters match "
-        "expectations; "
+        f"{len(payload['counters'])} live, decode, atoms and incremental "
+        "counters match expectations; "
         f"{len(windows)} windows, parity verified at "
         f"{payload['reference']['parity_checks']} boundaries, "
         f"kill/resume after each of windows {KILL_AFTER[0]}-{KILL_AFTER[-1]} "

@@ -10,11 +10,12 @@ import pytest
 from benchmarks.conftest import SNAPSHOT_WORLD
 from repro.core.atoms import compute_atoms
 from repro.core.intern import PathInternPool
-from repro.core.kernel import columnar_atoms, compute_atoms_reference
+from repro.core.kernel import columnar_atoms
 from repro.core.sanitize import sanitize
 from repro.core.stability import maximized_prefix_match
 from repro.simulation.routing import propagate
 from repro.simulation.scenario import SimulatedInternet
+from tests.core.reference import compute_atoms_reference
 
 
 @pytest.fixture(scope="module")

@@ -91,13 +91,6 @@ class RIBSnapshot:
         """
         self._listeners.append(listener)
 
-    def remove_mutation_listener(self, listener: MutationListener) -> None:
-        """Unregister a listener (no-op when absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def _table_for(self, peer_id: PeerId) -> AdjRIBIn:
         table = self._tables.get(peer_id)
         if table is None:
@@ -146,12 +139,6 @@ class RIBSnapshot:
                 listener(record.peer_id, element.prefix)
         if record.timestamp > self.timestamp:
             self.timestamp = record.timestamp
-
-    def copy(self) -> "RIBSnapshot":
-        """A deep copy (tables cloned; listeners do not carry over)."""
-        clone = RIBSnapshot(self.timestamp)
-        clone._tables = {pid: t.copy() for pid, t in self._tables.items()}
-        return clone
 
     # ------------------------------------------------------------------
     # Queries

@@ -141,10 +141,6 @@ def _add_engine_options(parser: argparse.ArgumentParser,
     parser.add_argument("--cache-dir", type=Path, default=None, dest="cache_dir",
                         help="content-addressed result cache directory "
                              "(repeat runs skip recomputation)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="maintain atoms across each quarter's "
-                             "snapshots incrementally (identical results, "
-                             "separate cache key)")
     parser.add_argument("--trace", type=Path, default=None,
                         help="write a JSONL span/counter trace of the run "
                              "to this file (see docs/observability.md); "
@@ -276,7 +272,6 @@ def cmd_atoms(args: argparse.Namespace) -> int:
         warmup=(),
         times=(stamp,),
         family=family,
-        incremental=args.incremental,
         label=f"atoms@{args.start}",
     )
     quarter = engine.run([job])[0]
@@ -325,7 +320,6 @@ def _run_trend_sweep(args: argparse.Namespace):
         internet,
         family=family,
         engine=engine,
-        incremental=args.incremental,
         store_dir=getattr(args, "store_dir", None),
     )
     results = study.run_years(years, with_stability=not args.no_stability)

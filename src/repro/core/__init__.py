@@ -22,7 +22,6 @@ from repro.core.formation import (
 from repro.core.fullfeed import full_feed_peers, full_feed_threshold
 from repro.core.incremental import AtomIndex, IncrementalStats
 from repro.core.intern import PathInternPool, pack_key, unpack_key
-from repro.core.kernel import compute_atoms_reference
 from repro.core.moas import moas_prefixes, moas_share
 from repro.core.pipeline import AtomComputation, compute_policy_atoms
 from repro.core.sanitize import (
@@ -58,7 +57,6 @@ __all__ = [
     "classify_updates",
     "complete_atom_match",
     "compute_atoms",
-    "compute_atoms_reference",
     "compute_policy_atoms",
     "detect_splits",
     "formation_distances",

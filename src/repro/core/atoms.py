@@ -13,8 +13,8 @@ columnar kernel (:mod:`repro.core.kernel`): paths are interned to dense
 ids and each prefix's id vector packed into a fixed-width bytes key, so
 the hot dict pass hashes compact byte strings instead of tuples of
 :class:`~repro.net.aspath.ASPath` objects.  Output is value-identical
-to the direct implementation (kept as
-:func:`~repro.core.kernel.compute_atoms_reference`), atom ids included.
+to the direct implementation (kept in the test tree as the kernel's
+oracle), atom ids included.
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
-"""Incremental atom maintenance between snapshots.
+"""Incremental atom maintenance over a live update stream.
 
 A full :func:`~repro.core.atoms.compute_atoms` pass costs
-O(prefixes x VPs) dict lookups per instant, yet between the paper's
-same-quarter instants only a small fraction of prefixes change — VP
-path vectors are highly redundant across time (Alfroy et al.,
-"Measuring Internet Routing from the Most Valuable Points").
-:class:`AtomIndex` exploits that redundancy: it keeps the interned
-path-vector key of every prefix, collects the *dirty* prefix set from
-:class:`~repro.bgp.rib.RIBSnapshot` mutation hooks as an update stream
-is applied, and on :meth:`refresh` recomputes keys only for dirty
-prefixes, repairing the affected equivalence classes in place.
+O(prefixes x VPs) dict lookups per instant, yet between two window
+boundaries of an update replay only a small fraction of prefixes
+change — VP path vectors are highly redundant across time (Alfroy et
+al., "Measuring Internet Routing from the Most Valuable Points").
+:class:`AtomIndex` exploits that redundancy for ``repro live``
+(:mod:`repro.stream.live`): it keeps the interned path-vector key of
+every prefix, collects the *dirty* prefix set from
+:class:`~repro.bgp.rib.RIBSnapshot` mutation hooks as the stream is
+applied, and on :meth:`refresh` recomputes keys only for dirty
+prefixes, repairing the affected equivalence classes in place.  The
+batch sweep does not use it: every quarter's snapshots are rendered
+afresh, so there is no stream to fold, and each snapshot takes the
+from-scratch kernel.
 
 Interning (:class:`~repro.core.intern.PathInternPool`, shared with the
 columnar :mod:`~repro.core.kernel`) gives two properties the hot path
@@ -22,17 +26,16 @@ leans on:
 
 :meth:`AtomIndex.atoms` yields an :class:`~repro.core.atoms.AtomSet`
 value-identical to a from-scratch ``compute_atoms`` over the same
-snapshot, vantage points and prefix universe — including atom ids,
+snapshot and vantage points — including atom ids,
 because groups are emitted in first-prefix order, exactly the order
 the batch enumeration discovers them in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.bgp.messages import RouteRecord
 from repro.bgp.rib import PeerId, RIBSnapshot
 from repro.core.atoms import AtomSet, PolicyAtom
 from repro.core.intern import PathInternPool
@@ -45,28 +48,17 @@ __all__ = ["AtomIndex", "IncrementalStats", "PathInternPool"]
 
 @dataclass
 class IncrementalStats:
-    """Counters behind the engine's incremental metrics."""
+    """Running totals of one index's work (the same work the
+    ``incremental.*`` trace counters count)."""
 
     #: per-prefix key (re)computations, including the initial build
     key_recomputations: int = 0
-    #: prefixes marked dirty by mutation hooks / universe changes
+    #: prefixes marked dirty by mutation hooks
     dirty_marked: int = 0
     #: refresh passes that had work to do
     refreshes: int = 0
-    #: full rebuilds (initial build, vantage-point changes)
+    #: full builds (one, when the index is made)
     rebuilds: int = 0
-    #: dirty-set size of each refresh, in order
-    dirty_sizes: List[int] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the counters (metrics payloads)."""
-        return {
-            "key_recomputations": self.key_recomputations,
-            "dirty_marked": self.dirty_marked,
-            "refreshes": self.refreshes,
-            "rebuilds": self.rebuilds,
-            "dirty_sizes": list(self.dirty_sizes),
-        }
 
 
 class AtomIndex:
@@ -79,21 +71,17 @@ class AtomIndex:
     repairs the affected groups.  Prefixes never touched keep their
     interned key — no lookups, no hashing.
 
-    Parameters mirror :func:`~repro.core.atoms.compute_atoms`: when
-    ``prefixes`` is given the universe is fixed (use
-    :meth:`set_universe` to move it); otherwise the universe follows
-    the vantage points' tables dynamically.
+    Parameters mirror :func:`~repro.core.atoms.compute_atoms`; the
+    prefix universe follows the vantage points' tables dynamically.
     """
 
     def __init__(
         self,
         snapshot: RIBSnapshot,
         vantage_points: Optional[Sequence[PeerId]] = None,
-        prefixes: Optional[Iterable[Prefix]] = None,
         expand_singleton_sets: bool = True,
         strip_prepending: bool = False,
         pool: Optional[PathInternPool] = None,
-        stats: Optional[IncrementalStats] = None,
     ):
         if pool is not None and (
             pool.expand_singleton_sets != expand_singleton_sets
@@ -108,19 +96,14 @@ class AtomIndex:
         self.pool = pool if pool is not None else PathInternPool(
             expand_singleton_sets, strip_prepending
         )
-        # Passing the predecessor's stats (like its pool) keeps the
-        # counters continuous across index rebuilds.
-        self.stats = stats if stats is not None else IncrementalStats()
-        self._universe: Optional[Set[Prefix]] = (
-            set(prefixes) if prefixes is not None else None
-        )
+        self.stats = IncrementalStats()
         #: prefix -> interned vector (only prefixes with a visible path)
         self._keys: Dict[Prefix, Tuple] = {}
         #: interned vector -> member prefixes
         self._groups: Dict[Tuple, Set[Prefix]] = {}
         self._dirty: Set[Prefix] = set()
         snapshot.add_mutation_listener(self._on_mutation)
-        self._rebuild()
+        self._build()
 
     # ------------------------------------------------------------------
     # Dirty-set collection
@@ -129,8 +112,6 @@ class AtomIndex:
     def _on_mutation(self, peer_id: PeerId, prefix: Prefix) -> None:
         if peer_id not in self._vp_set:
             return
-        if self._universe is not None and prefix not in self._universe:
-            return
         # Count unique dirty prefixes, not mutation events: a prefix
         # touched twice inside one window is one unit of refresh work,
         # and the dirty-set economy metrics must say so (the set itself
@@ -138,16 +119,6 @@ class AtomIndex:
         if prefix not in self._dirty:
             self._dirty.add(prefix)
             self.stats.dirty_marked += 1
-
-    def apply_record(self, record: RouteRecord) -> None:
-        """Fold one update record into the snapshot (hooks collect the
-        dirty prefixes); convenience for update-stream driven use."""
-        self.snapshot.apply_record(record)
-
-    def apply_records(self, records: Iterable[RouteRecord]) -> None:
-        """Fold an update stream into the snapshot."""
-        for record in records:
-            self.snapshot.apply_record(record)
 
     @property
     def dirty_count(self) -> int:
@@ -197,22 +168,15 @@ class AtomIndex:
             self._keys[prefix] = key
             self._groups.setdefault(key, set()).add(prefix)
 
-    def _rebuild(self) -> None:
-        """Full recomputation (initial build, VP changes)."""
+    def _build(self) -> None:
+        """Compute every prefix's key (once, when the index is made)."""
         tracer = get_tracer()
         with tracer.span("atoms-rebuild") as span:
-            self._keys.clear()
-            self._groups.clear()
-            self._dirty.clear()
             tables = self._tables()
-            if self._universe is not None:
-                universe: Iterable[Prefix] = self._universe
-            else:
-                seen: Set[Prefix] = set()
-                for table in tables:
-                    if table is not None:
-                        seen |= table.prefixes()
-                universe = seen
+            universe: Set[Prefix] = set()
+            for table in tables:
+                if table is not None:
+                    universe |= table.prefixes()
             recomputed = 0
             for prefix in universe:
                 key = self._compute_key(prefix, tables)
@@ -267,7 +231,6 @@ class AtomIndex:
                     collect[prefix] = key
                 self._apply_key(prefix, key)
             self.stats.refreshes += 1
-            self.stats.dirty_sizes.append(len(dirty))
             if tracer.enabled:
                 span.set(
                     dirty=len(dirty),
@@ -280,61 +243,6 @@ class AtomIndex:
         return dirty
 
     # ------------------------------------------------------------------
-    # Universe and snapshot synchronisation
-    # ------------------------------------------------------------------
-
-    def set_universe(self, prefixes: Iterable[Prefix]) -> None:
-        """Move the fixed prefix universe; only the symmetric
-        difference is (re)computed."""
-        new = set(prefixes)
-        if self._universe is None:
-            raise ValueError(
-                "index was built with a dynamic universe; "
-                "rebuild with an explicit prefix set instead"
-            )
-        for prefix in self._universe - new:
-            self._apply_key(prefix, None)
-            self._dirty.discard(prefix)
-        added = new - self._universe
-        self._universe = new
-        self._dirty |= added
-        self.stats.dirty_marked += len(added)
-
-    def sync_to(self, target: RIBSnapshot,
-                prefixes: Optional[Iterable[Prefix]] = None) -> None:
-        """Mutate the owned snapshot until its vantage-point tables
-        equal ``target``'s, deriving the update stream as a diff.
-
-        Only routes whose attributes actually changed are touched, so
-        the dirty set — and the work :meth:`refresh` does — is
-        proportional to the churn between the two instants, not to
-        table size.  Interned paths make the per-route comparison a
-        pointer check in the common unchanged case.
-        """
-        pool_path = self.pool.path
-        for vp in self.vantage_points:
-            mine = self.snapshot.table(vp)
-            theirs = target.table(vp)
-            my_routes = mine._routes if mine is not None else {}
-            their_routes = theirs._routes if theirs is not None else {}
-            for prefix, attributes in their_routes.items():
-                old = my_routes.get(prefix)
-                if old is not None and (
-                    old.as_path is attributes.as_path
-                    or pool_path(old.as_path) is pool_path(attributes.as_path)
-                ):
-                    continue
-                self.snapshot.announce(vp, prefix, attributes)
-            if my_routes:
-                gone = [p for p in my_routes if p not in their_routes]
-                for prefix in gone:
-                    self.snapshot.withdraw(vp, prefix)
-        if target.timestamp > self.snapshot.timestamp:
-            self.snapshot.timestamp = target.timestamp
-        if prefixes is not None:
-            self.set_universe(prefixes)
-
-    # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
 
@@ -342,7 +250,7 @@ class AtomIndex:
         """The current :class:`AtomSet` (refreshes pending work first).
 
         Identical — atom ids included — to ``compute_atoms`` over the
-        same snapshot/VPs/universe: batch enumeration discovers groups
+        same snapshot and VPs: batch enumeration discovers groups
         in order of their first (smallest) prefix, which is the order
         groups are emitted here.
         """
@@ -356,10 +264,6 @@ class AtomIndex:
             for atom_id, (vector, members) in enumerate(ordered)
         ]
         return AtomSet(atoms, list(self.vantage_points), self.snapshot.timestamp)
-
-    def detach(self) -> None:
-        """Unregister from the snapshot's mutation hooks."""
-        self.snapshot.remove_mutation_listener(self._on_mutation)
 
     def __len__(self) -> int:
         return len(self._groups)

@@ -23,29 +23,28 @@ The kernel restates the same computation columnarly:
    single dict pass over compact byte strings hashed and compared in C;
 4. rebuild each group's canonical path-vector tuple from the pool's id
    table — the emitted :class:`~repro.core.atoms.AtomSet` is
-   value-identical to the reference implementation, **atom ids and
+   value-identical to the direct implementation, **atom ids and
    ordering included** (groups appear in first-prefix order of the
-   sorted universe, exactly the order the reference discovers them in).
+   sorted universe, exactly the order the direct walk discovers them
+   in).
 
-:func:`compute_atoms_reference` keeps the original tuple-of-objects
-implementation as the executable specification: the kernel is proven
-against it by property tests over worlds exercising MOAS, AS_SETs,
-prepending and partial visibility (``tests/core/test_kernel.py``) and
-by the benchmark parity gate (``benchmarks/run_benchmarks.py``).
+The direct tuple-of-objects implementation is the executable
+specification and lives in the test tree
+(``tests/core/reference.py``): the kernel is proven against it by
+property tests over worlds exercising MOAS, AS_SETs, prepending and
+partial visibility (``tests/core/test_kernel.py``) and by the
+benchmark parity gate (``benchmarks/run_benchmarks.py``).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.rib import PeerId, RIBSnapshot
-from repro.core import atoms as _atoms
 from repro.core.atoms import AtomSet, PolicyAtom
 from repro.core.intern import ID_TYPECODE, KEY_WIDTH, PathInternPool, unpack_key
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs import get_tracer
 
@@ -233,56 +232,4 @@ def columnar_atoms(
             tracer.count("atoms.atoms", len(atoms))
             tracer.count("atoms.normalise_cache_hits", present - misses)
             tracer.count("atoms.normalise_cache_misses", misses)
-    return AtomSet(atoms, vantage_points, snapshot.timestamp)
-
-
-def compute_atoms_reference(
-    snapshot: RIBSnapshot,
-    vantage_points: Optional[Sequence[PeerId]] = None,
-    prefixes: Optional[Iterable[Prefix]] = None,
-    expand_singleton_sets: bool = True,
-    strip_prepending: bool = False,
-) -> AtomSet:
-    """The pre-kernel implementation, kept as the executable spec.
-
-    Builds a per-prefix tuple of normalised :class:`ASPath` objects and
-    groups on it.  Slower than :func:`columnar_atoms` (Python-level
-    hashing per cell) but definitionally transparent; the kernel must
-    match it value-for-value, atom ids included.
-    """
-    if vantage_points is None:
-        vantage_points = sorted(snapshot.peers())
-    else:
-        vantage_points = list(vantage_points)
-    prefix_list = _prefix_universe(snapshot, vantage_points, prefixes)
-
-    tables = [snapshot.table(peer_id) for peer_id in vantage_points]
-    groups: Dict[Tuple, List[Prefix]] = defaultdict(list)
-    normalise_cache: Dict[ASPath, Optional[ASPath]] = {}
-    unset = object()
-
-    for prefix in prefix_list:
-        vector: List[Optional[ASPath]] = []
-        for table in tables:
-            attributes = table.get(prefix) if table is not None else None
-            if attributes is None:
-                vector.append(None)
-                continue
-            raw = attributes.as_path
-            cached = normalise_cache.get(raw, unset)
-            if cached is unset:
-                # Late-bound, exactly as the pre-kernel module global was.
-                cached = _atoms._prepare_path(
-                    raw, expand_singleton_sets, strip_prepending
-                )
-                normalise_cache[raw] = cached
-            vector.append(cached)  # type: ignore[arg-type]
-        if all(path is None for path in vector):
-            continue  # prefix effectively unseen after normalisation
-        groups[tuple(vector)].append(prefix)
-
-    atoms = [
-        PolicyAtom(atom_id, frozenset(members), vector)
-        for atom_id, (vector, members) in enumerate(groups.items())
-    ]
     return AtomSet(atoms, vantage_points, snapshot.timestamp)

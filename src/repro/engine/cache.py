@@ -36,7 +36,8 @@ from repro.engine.jobs import (
 #: incremental-maintenance counters.
 #: v3: the canonical form tags node and dict-key types, so ``{1: x}``
 #: vs ``{"1": x}`` and dicts vs literal pair lists no longer collide.
-CACHE_SALT = "repro-engine-v3"
+#: v4: the ``incremental`` spec component and result counters are gone.
+CACHE_SALT = "repro-engine-v4"
 
 
 def _canonical(value: Any) -> Any:

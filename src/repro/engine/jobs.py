@@ -37,7 +37,8 @@ from repro.topology.evolution import WorldParams
 from repro.util.dates import utc_timestamp
 
 #: Serialization format version; bump together with cache.CACHE_SALT.
-RESULT_VERSION = 1
+#: v2: results no longer carry incremental-maintenance counters.
+RESULT_VERSION = 2
 
 
 def suite_times(year: int, month: int, with_stability: bool) -> Tuple[int, ...]:
@@ -68,9 +69,6 @@ class SnapshotJob:
     sanitization: Optional[SanitizationConfig] = None
     with_updates: bool = False
     update_hours: float = 4.0
-    #: maintain atoms across the quarter's instants incrementally
-    #: (AtomIndex) instead of recomputing each snapshot from scratch
-    incremental: bool = False
     #: display label, e.g. ``"2004-01"``
     label: str = ""
     #: calendar position of the quarter
@@ -115,10 +113,6 @@ class SnapshotJob:
             ),
             "with_updates": self.with_updates,
             "update_hours": self.update_hours,
-            # Keyed although results are value-identical either way:
-            # the modes exercise different code paths, and a poisoned
-            # cache must never mask a divergence between them.
-            "incremental": self.incremental,
         }
 
 
@@ -142,8 +136,6 @@ class QuarterResult:
     update_pr_full: Dict[int, Optional[float]] = field(default_factory=dict)
     #: raw route records consumed (metrics input)
     record_count: int = 0
-    #: incremental-maintenance counters (empty for from-scratch runs)
-    incremental: Dict[str, Any] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +161,6 @@ def result_to_payload(result: QuarterResult) -> Dict[str, Any]:
         "update_record_count": result.update_record_count,
         "update_pr_full": sorted(result.update_pr_full.items()),
         "record_count": result.record_count,
-        "incremental": dict(result.incremental),
     }
 
 
@@ -198,7 +189,6 @@ def result_from_payload(payload: Dict[str, Any]) -> QuarterResult:
         update_record_count=payload["update_record_count"],
         update_pr_full={int(k): v for k, v in payload["update_pr_full"]},
         record_count=payload["record_count"],
-        incremental=dict(payload.get("incremental", {})),
     )
 
 
@@ -296,10 +286,7 @@ def execute_snapshot_job(job: SnapshotJob) -> QuarterResult:
         internet.advance_to(when)
         applied.append(when)
     study = LongitudinalStudy(
-        internet,
-        family=job.family,
-        sanitization=job.sanitization,
-        incremental=job.incremental,
+        internet, family=job.family, sanitization=job.sanitization
     )
     if job.calendar_year:
         suite = study.snapshot_suite(
@@ -312,18 +299,12 @@ def execute_snapshot_job(job: SnapshotJob) -> QuarterResult:
     else:
         # Ad-hoc instant (``repro atoms``): one base snapshot at an
         # arbitrary timestamp, outside the paper's quarter cadence.
-        if job.incremental:
-            base, _ = study._compute_incremental(job.times[0])
-        else:
-            base = study._compute(job.times[0])
         suite = SnapshotSuite(
             year=0,
             month=job.month,
             family=job.family,
-            base=base,
+            base=study._compute(job.times[0]),
         )
-        if job.incremental and study._index is not None:
-            suite.incremental_stats = study._index.stats.as_dict()
     applied.extend(job.times)
     if job.world_checkpoint_dir is not None:
         _maybe_checkpoint_world(job, internet, applied)
@@ -435,7 +416,6 @@ def summarize_suite(job: SnapshotJob, suite) -> QuarterResult:
         update_record_count=suite.update_record_count,
         update_pr_full=pr_full,
         record_count=sum(audit.records for audit in report.audits.values()),
-        incremental=dict(getattr(suite, "incremental_stats", {}) or {}),
     )
 
 
@@ -448,7 +428,6 @@ def build_jobs(
     with_stability: bool = True,
     with_updates: bool = False,
     update_hours: float = 4.0,
-    incremental: bool = False,
     store_dir: Optional[str] = None,
     world_checkpoint_dir: Optional[str] = None,
     world_checkpoint_stride: int = 4,
@@ -477,7 +456,6 @@ def build_jobs(
                 sanitization=sanitization,
                 with_updates=with_updates,
                 update_hours=update_hours,
-                incremental=incremental,
                 label=f"{calendar_year}-{month:02d}",
                 calendar_year=calendar_year,
                 month=month,

@@ -6,10 +6,8 @@ callables ``hook(event: str, payload: dict)``.  Events:
 * ``sweep_start``  — ``{"jobs": n, "workers": k}``
 * ``job_start``    — ``{"index", "label", "key"}`` (computed jobs only)
 * ``job_done``     — ``{"index", "label", "key", "source", "seconds",
-  "records", "worker", "incremental"}`` where ``source`` is one of
-  ``computed``, ``cache``, ``checkpoint``, and ``incremental`` carries
-  the job's atom-index maintenance counters (empty for from-scratch
-  jobs)
+  "records", "worker"}`` where ``source`` is one of ``computed``,
+  ``cache``, ``checkpoint``
 * ``sweep_done``   — ``{"seconds": wall}``
 
 :class:`EngineMetrics` is the standard hook: it aggregates per-job wall
@@ -44,8 +42,6 @@ class JobMetric:
     seconds: float = 0.0
     records: int = 0
     worker: Optional[int] = None
-    #: atom-index maintenance counters ({} when the job ran from scratch)
-    incremental: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -73,7 +69,6 @@ class EngineMetrics:
                     seconds=float(payload.get("seconds", 0.0)),
                     records=int(payload.get("records", 0)),
                     worker=payload.get("worker"),
-                    incremental=dict(payload.get("incremental") or {}),
                 )
             )
         elif event == "sweep_done":
@@ -101,35 +96,6 @@ class EngineMetrics:
         if not self.jobs:
             return 0.0
         return 1.0 - self.count(SOURCE_COMPUTED) / len(self.jobs)
-
-    def incremental_summary(self) -> Dict[str, Any]:
-        """Rollup of atom-index maintenance across jobs that used it.
-
-        Empty dict when no recorded job ran in incremental mode.
-        """
-        tracked = [job for job in self.jobs if job.incremental]
-        if not tracked:
-            return {}
-        dirty_sizes: List[int] = []
-        for job in tracked:
-            dirty_sizes.extend(int(n) for n in job.incremental.get("dirty_sizes", []))
-
-        def total(key: str) -> float:
-            return sum(float(job.incremental.get(key, 0) or 0) for job in tracked)
-
-        return {
-            "jobs": len(tracked),
-            "steps": int(total("steps")),
-            "incremental_steps": int(total("incremental_steps")),
-            "rebuilds": int(total("rebuilds")),
-            "key_recomputations": int(total("key_recomputations")),
-            "dirty_total": sum(dirty_sizes),
-            "dirty_mean": (
-                sum(dirty_sizes) / len(dirty_sizes) if dirty_sizes else 0.0
-            ),
-            "seconds_rebuild": total("seconds_rebuild"),
-            "seconds_incremental": total("seconds_incremental"),
-        }
 
     def worker_summary(self) -> Dict[int, Dict[str, float]]:
         """Per-worker job counts and busy seconds, computed jobs only.
@@ -185,13 +151,12 @@ class EngineMetrics:
             "workers": self.workers,
             "worker_utilization": min(1.0, utilization),
             "per_worker": self.worker_summary(),
-            "incremental": self.incremental_summary(),
         }
 
     def render(self) -> str:
         """One-line human rendering of :meth:`summary`."""
         s = self.summary()
-        line = (
+        return (
             f"{s['jobs']} jobs: {s['computed']} computed, "
             f"{s['cache_hits']} cache hits, "
             f"{s['checkpoint_hits']} resumed "
@@ -200,15 +165,6 @@ class EngineMetrics:
             f"wall {s['wall_seconds']:.2f}s, busy {s['busy_seconds']:.2f}s, "
             f"{s['workers']} worker(s) at {s['worker_utilization']:.0%}"
         )
-        inc = s["incremental"]
-        if inc:
-            line += (
-                f" | incremental: {inc['incremental_steps']}/{inc['steps']} "
-                f"steps, {inc['rebuilds']} rebuild(s), "
-                f"{inc['key_recomputations']:,} key recomputes, "
-                f"mean dirty set {inc['dirty_mean']:.1f}"
-            )
-        return line
 
 
 def progress_hook(stream: Optional[TextIO] = None) -> Hook:

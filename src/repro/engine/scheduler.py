@@ -134,7 +134,6 @@ class ExecutionEngine:
                 "seconds": seconds,
                 "records": result.record_count,
                 "worker": worker,
-                "incremental": dict(result.incremental),
             },
         )
 

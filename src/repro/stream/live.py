@@ -125,6 +125,8 @@ class LiveConfig:
             raise ValueError(f"unknown parity mode {self.parity!r}")
         if self.correlation_max_size is not None and self.correlation_max_size < 1:
             raise ValueError("correlation_max_size must be >= 1 or None")
+        if self.max_windows is not None and self.max_windows < 1:
+            raise ValueError("max_windows must be >= 1 or None")
         if self.checkpoint_dir is not None:
             self.checkpoint_dir = Path(self.checkpoint_dir)
         if self.store_dir is not None:

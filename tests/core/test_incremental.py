@@ -47,12 +47,10 @@ def update_record(peer, announced=(), withdrawn=(), timestamp=200):
     )
 
 
-def assert_identical(index, snapshot, vantage_points, prefixes=None):
+def assert_identical(index, snapshot, vantage_points):
     """Incremental result must match from-scratch computation exactly:
     same atoms in the same order, same prefix sets, same path vectors."""
-    expected = compute_atoms(
-        snapshot, vantage_points=vantage_points, prefixes=prefixes
-    )
+    expected = compute_atoms(snapshot, vantage_points=vantage_points)
     actual = index.atoms()
     assert len(actual) == len(expected)
     for ours, theirs in zip(actual.atoms, expected.atoms):
@@ -125,34 +123,6 @@ class TestAtomIndexBasics:
         assert index.dirty_count == 0
         assert_identical(index, snapshot, PEERS[:2])
 
-    def test_explicit_universe_filters_mutations(self):
-        snapshot = base_snapshot()
-        universe = {Prefix.parse("10.0.1.0/24"), Prefix.parse("10.0.2.0/24")}
-        index = AtomIndex(snapshot, vantage_points=PEERS, prefixes=universe)
-        snapshot.apply_record(update_record(PEERS[0], announced=[
-            ("10.0.3.0/24", "1 2 3"),  # outside the universe
-        ]))
-        assert index.dirty_count == 0
-        assert_identical(index, snapshot, PEERS, prefixes=universe)
-
-    def test_set_universe_moves_the_window(self):
-        snapshot = base_snapshot()
-        first = {Prefix.parse("10.0.1.0/24"), Prefix.parse("10.0.2.0/24")}
-        second = {Prefix.parse("10.0.2.0/24"), Prefix.parse("10.0.3.0/24")}
-        index = AtomIndex(snapshot, vantage_points=PEERS, prefixes=first)
-        index.atoms()
-        index.set_universe(second)
-        assert_identical(index, snapshot, PEERS, prefixes=second)
-
-    def test_detach_stops_tracking(self):
-        snapshot = base_snapshot()
-        index = AtomIndex(snapshot, vantage_points=PEERS)
-        index.detach()
-        snapshot.apply_record(update_record(PEERS[0], announced=[
-            ("10.0.1.0/24", "1 9 9"),
-        ]))
-        assert index.dirty_count == 0
-
     def test_pool_option_mismatch_rejected(self):
         snapshot = base_snapshot()
         pool = PathInternPool(strip_prepending=True)
@@ -182,41 +152,6 @@ class TestInternPool:
         pool = PathInternPool()
         p = pool.path(ASPath.parse("1 5 9"))
         assert pool.vector((p, None)) is pool.vector((p, None))
-
-
-class TestSyncTo:
-    def test_sync_marks_only_changed_prefixes(self):
-        snapshot = base_snapshot()
-        index = AtomIndex(snapshot.copy(), vantage_points=PEERS)
-        index.atoms()
-        before = index.stats.key_recomputations
-
-        target = snapshot.copy()
-        target.apply_record(update_record(PEERS[1], announced=[
-            ("10.0.3.0/24", "2 6 6 8"),
-        ]))
-        index.sync_to(target)
-        assert index.dirty_count == 1
-        assert_identical(index, target, PEERS)
-        assert index.stats.key_recomputations == before + 1
-
-    def test_sync_handles_withdrawals(self):
-        snapshot = base_snapshot()
-        index = AtomIndex(snapshot.copy(), vantage_points=PEERS)
-        target = snapshot.copy()
-        for peer in PEERS:
-            target.apply_record(update_record(peer, withdrawn=["10.0.2.0/24"]))
-        index.sync_to(target)
-        assert_identical(index, target, PEERS)
-
-    def test_identical_snapshots_sync_for_free(self):
-        snapshot = base_snapshot()
-        index = AtomIndex(snapshot.copy(), vantage_points=PEERS)
-        index.atoms()
-        before = index.stats.key_recomputations
-        index.sync_to(snapshot.copy())
-        assert index.dirty_count == 0
-        assert index.stats.key_recomputations == before
 
 
 class TestRandomizedChurn:
@@ -289,10 +224,11 @@ class TestRandomizedChurn:
 class TestDirtySetEconomy:
     """dirty_marked counts unique prefixes, never mutation events.
 
-    The live pipeline reports per-window dirty-set economy straight
-    from :class:`IncrementalStats`; a prefix flapping ten times inside
-    one window is *one* unit of pending work, and the stats must say
-    so (regression: dirty_marked used to grow per mutation event).
+    The live pipeline reports per-window dirty-set economy from the
+    index; a prefix flapping ten times inside one window is *one* unit
+    of pending work, and both :class:`IncrementalStats` and
+    :meth:`AtomIndex.refresh` must say so (regression: dirty_marked
+    used to grow per mutation event).
     """
 
     def test_repeat_mutations_of_one_prefix_count_once(self):
@@ -308,7 +244,7 @@ class TestDirtySetEconomy:
         assert index.dirty_count == 1
         assert index.stats.dirty_marked == 1
         assert index.refresh() == 1
-        assert index.stats.dirty_sizes == [1]
+        assert index.refresh() == 0
         assert_identical(index, snapshot, PEERS)
 
     def test_distinct_prefixes_still_count_individually(self):
@@ -330,11 +266,10 @@ class TestDirtySetEconomy:
         snapshot.apply_record(update_record(
             PEERS[0], announced=[("10.0.1.0/24", "1 7 9")]
         ))
-        index.refresh()
+        assert index.refresh() == 1
         snapshot.apply_record(update_record(
             PEERS[0], announced=[("10.0.1.0/24", "1 8 9")]
         ))
         assert index.stats.dirty_marked == 2
         assert index.refresh() == 1
-        assert index.stats.dirty_sizes == [1, 1]
         assert_identical(index, snapshot, PEERS)

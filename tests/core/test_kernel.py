@@ -14,9 +14,10 @@ from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.bgp.rib import RIBSnapshot
 from repro.core.atoms import compute_atoms
 from repro.core.intern import PathInternPool
-from repro.core.kernel import columnar_atoms, compute_atoms_reference
+from repro.core.kernel import columnar_atoms
 from repro.net.aspath import ASPath, PathSegment, SegmentType
 from repro.net.prefix import Prefix
+from tests.core.reference import compute_atoms_reference
 
 import pytest
 

@@ -95,9 +95,11 @@ class TestDigest:
         )
         assert job_digest(stamped) == job_digest(make_job())
 
-    def test_salt_is_v3(self):
-        """The canonical-form fix must invalidate v2 entries."""
-        assert CACHE_SALT == "repro-engine-v3"
+    def test_salt_is_v4(self):
+        """v2 entries must miss (their canonical form collided), and so
+        must v3 entries (their spec carried the removed ``incremental``
+        component)."""
+        assert CACHE_SALT == "repro-engine-v4"
 
 
 class TestCanonicalCollisions:

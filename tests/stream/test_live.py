@@ -149,6 +149,8 @@ class TestLiveConfig:
         for cap in (0, -1):
             with pytest.raises(ValueError, match="correlation_max_size"):
                 LiveConfig(correlation_max_size=cap)
+            with pytest.raises(ValueError, match="max_windows"):
+                LiveConfig(max_windows=cap)
 
     def test_payload_holds_only_result_affecting_knobs(self):
         """Cadence, parity and the window cap stay out of the payload,

@@ -3,9 +3,8 @@
 Collectors interleave dumps from many peers, so update timestamps are
 only approximately ordered — records regularly arrive after a later
 timestamp has already been seen (out-of-order across dump boundaries).
-Peers also withdraw prefixes the collector never saw announced, and
-long-running indexes get their universe narrowed mid-flight.  None of
-these may change results or crash the incremental machinery.
+Peers also withdraw prefixes the collector never saw announced.  None
+of these may change results or crash the incremental machinery.
 """
 
 from repro.core.atoms import compute_atoms
@@ -111,81 +110,3 @@ class TestWithdrawBeforeAnnounce:
             snapshot, vantage_points=[PEERS[0], PEERS[1]]
         )
         assert_atoms_equal(index.atoms(), expected)
-
-
-class TestUniverseShrink:
-    def _built_index(self):
-        from repro.bgp.rib import RIBSnapshot
-
-        snapshot = RIBSnapshot()
-        for record in prime_records():
-            snapshot.apply_record(record)
-        universe = {
-            Prefix.parse(f"10.0.{i}.0/24") for i in range(1, 7)
-        }
-        index = AtomIndex(
-            snapshot, vantage_points=list(PEERS), prefixes=universe
-        )
-        return snapshot, universe, index
-
-    def test_sync_to_after_set_universe_shrink(self):
-        """Narrowing the universe and syncing to a churned snapshot in
-        one step: dropped prefixes leave the partition, surviving ones
-        track the target exactly."""
-        from repro.bgp.rib import RIBSnapshot
-
-        snapshot, universe, index = self._built_index()
-        shrunk = {p for p in universe if p != Prefix.parse("10.0.2.0/24")}
-
-        target = RIBSnapshot()
-        for record in prime_records():
-            target.apply_record(record)
-        target.apply_record(update_record(
-            PEERS[0], 300, announced=[("10.0.3.0/24", "1 7 8")]
-        ))
-        target.apply_record(update_record(
-            PEERS[1], 310, withdrawn=["10.0.6.0/24"]
-        ))
-
-        index.sync_to(target, prefixes=shrunk)
-        expected = compute_atoms(
-            target, vantage_points=list(PEERS), prefixes=shrunk
-        )
-        assert_atoms_equal(index.atoms(), expected)
-        dropped = Prefix.parse("10.0.2.0/24")
-        assert all(
-            dropped not in atom.prefixes for atom in index.atoms().atoms
-        )
-
-    def test_shrink_then_regrow_restores_the_prefix(self):
-        snapshot, universe, index = self._built_index()
-        shrunk = {p for p in universe if p != Prefix.parse("10.0.2.0/24")}
-        index.set_universe(shrunk)
-        assert_atoms_equal(
-            index.atoms(),
-            compute_atoms(
-                snapshot, vantage_points=list(PEERS), prefixes=shrunk
-            ),
-        )
-        index.set_universe(universe)
-        assert_atoms_equal(
-            index.atoms(),
-            compute_atoms(
-                snapshot, vantage_points=list(PEERS), prefixes=universe
-            ),
-        )
-
-    def test_shrink_discards_pending_dirty_work(self):
-        snapshot, universe, index = self._built_index()
-        index.refresh()
-        # dirty a prefix, then shrink it out of the universe before
-        # refreshing: the pending recomputation must be dropped
-        snapshot.announce(
-            PEERS[0], Prefix.parse("10.0.2.0/24"),
-            prime_records()[0].elements[0].attributes,
-        )
-        assert index.dirty_count == 1
-        shrunk = {p for p in universe if p != Prefix.parse("10.0.2.0/24")}
-        index.set_universe(shrunk)
-        assert index.dirty_count == 0
-        assert index.refresh() == 0

@@ -85,6 +85,15 @@ class TestParser:
         err = capsys.readouterr().err
         assert "--first-year 2010 is after --last-year 2005" in err
 
+    @pytest.mark.parametrize(
+        "command", [["atoms"], ["trend"], ["store", "build", "s"]]
+    )
+    def test_incremental_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--incremental"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --incremental" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_atoms_from_simulation(self, capsys):
