@@ -55,12 +55,6 @@ class AdjRIBIn:
     def __contains__(self, prefix: Prefix) -> bool:
         return prefix in self._routes
 
-    def copy(self) -> "AdjRIBIn":
-        """An independent copy of this table."""
-        clone = AdjRIBIn(self.peer_id)
-        clone._routes = dict(self._routes)
-        return clone
-
 
 class RIBSnapshot:
     """Cross-peer routing state at one instant.

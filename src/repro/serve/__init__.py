@@ -7,15 +7,15 @@ aggregate queries from a reopened
 scale shape of bgproutes.io, built on the store's millisecond reopen.
 
 * :class:`AtomQueryService` (:mod:`repro.serve.service`) — the
-  transport-free query core: per-prefix stability histories (built
-  once per prefix, memoised in a bounded LRU), churn timelines,
-  split/merge series;
-* :class:`ResponseCache` (:mod:`repro.serve.cache`) — bounded LRU over
-  content-addressed response digests (the engine cache's v3 canonical
-  form);
+  transport-free query core, uncached payload builders: per-prefix
+  stability histories (built once per prefix, memoised in a bounded
+  LRU), churn timelines, split/merge series;
+* :class:`ResponseCache` (:mod:`repro.serve.cache`) — bounded LRU of
+  finished responses (body bytes and ETag) keyed by store version,
+  request path and ``snapshot`` parameter;
 * :class:`AtomServer` (:mod:`repro.serve.http`) — the
-  ``asyncio.start_server`` transport: keep-alive, snapshot-version
-  ETags / 304 revalidation, graceful shutdown;
+  ``asyncio.start_server`` transport: response caching, keep-alive,
+  snapshot-version ETags / 304 revalidation, graceful shutdown;
 * :class:`ServeApp` / :func:`serve_in_thread`
   (:mod:`repro.serve.app`) — lifecycle glue for the CLI, the tests and
   the load benchmark.
@@ -25,7 +25,7 @@ load benchmark emits ``benchmarks/output/BENCH_serve.json``.
 """
 
 from repro.serve.app import ServeApp, ServerHandle, serve_in_thread
-from repro.serve.cache import ResponseCache, response_key
+from repro.serve.cache import ResponseCache
 from repro.serve.http import AtomServer, encode_body, etag_for
 from repro.serve.service import AtomQueryService, QueryError
 
@@ -38,6 +38,5 @@ __all__ = [
     "ServerHandle",
     "encode_body",
     "etag_for",
-    "response_key",
     "serve_in_thread",
 ]

@@ -1,49 +1,36 @@
-"""LRU + content-addressed response caching for ``repro serve``.
+"""The LRU response cache of ``repro serve``.
 
-Every endpoint response is a pure function of (store content version,
-endpoint, parameters), so responses are cached under the same
-content-addressing primitive the execution engine uses for job results
-(:func:`repro.engine.cache.content_digest` — the v3 canonical form
-whose digests cannot collide across distinct parameter sets).  The
-cache itself is a bounded LRU: an ``OrderedDict`` under a lock, moved
-to the tail on hit, evicted from the head past ``max_entries``.
+:class:`~repro.serve.http.AtomServer` keeps each finished ``200`` here
+as its ``(body bytes, ETag)`` pair, under a plain tuple key: the
+store's manifest digest plus the request path and ``snapshot``
+parameter, which are all a response depends on.  A hit is therefore
+answered without building, encoding or hashing anything.  The cache
+itself is a bounded LRU: an ``OrderedDict`` under a lock, moved to the
+tail on hit, evicted from the head past ``max_entries``.
 
 Hits and misses are reported both on the instance (``hits`` /
-``misses``, for ``/v1/stats``) and as ``serve.cache_hits`` /
-``serve.cache_misses`` obs counters.
+``misses``, for ``/healthz``) and as ``serve.cache_hits`` /
+``serve.cache_misses`` obs counters.  :meth:`ResponseCache.get` counts
+the hits and :meth:`ResponseCache.put` the misses: a value is stored
+once a lookup has missed and the answer was built, so a request
+refused before its answer exists (a ``400`` or ``404``) counts as
+neither.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, Hashable, Tuple
 
-from repro.engine.cache import content_digest
 from repro.obs import get_tracer
-
-#: Salt for serve response digests; bump when response shapes change so
-#: a mixed-version deployment can never serve a stale shape.
-SERVE_SALT = "repro-serve-v1"
 
 #: Default maximum cached responses.
 DEFAULT_MAX_ENTRIES = 1024
 
 
-def response_key(endpoint: str, params: Any, store_version: str) -> str:
-    """Content-addressed cache key for one endpoint response."""
-    return content_digest(
-        {
-            "endpoint": endpoint,
-            "params": params,
-            "store": store_version,
-        },
-        salt=SERVE_SALT,
-    )
-
-
 class ResponseCache:
-    """A bounded, thread-safe LRU keyed by :func:`response_key` digests."""
+    """A bounded, thread-safe LRU of finished responses."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
@@ -52,43 +39,45 @@ class ResponseCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str) -> Tuple[bool, Optional[Any]]:
+    def get(self, key: Hashable) -> Tuple[bool, Any]:
         """``(hit, value)`` for ``key``; a hit refreshes its LRU slot.
 
-        The flag distinguishes a cached ``None`` response from a miss.
+        The flag distinguishes a cached ``None`` from a miss.  Only a
+        hit is counted here; :meth:`put` counts the miss.
         """
         tracer = get_tracer()
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                value = self._entries[key]
-                hit = True
-            else:
-                self.misses += 1
-                value, hit = None, False
+            if key not in self._entries:
+                return False, None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            value = self._entries[key]
         if tracer.enabled:
-            tracer.count("serve.cache_hits" if hit else "serve.cache_misses")
-        return hit, value
+            tracer.count("serve.cache_hits")
+        return True, value
 
-    def put(self, key: str, value: Any) -> None:
-        """Insert (or refresh) ``key``, evicting the LRU tail past cap."""
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store the value a missed lookup built, counting the miss;
+        evicts the LRU tail past cap."""
         tracer = get_tracer()
         evicted = 0
         with self._lock:
+            self.misses += 1
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 evicted += 1
-        if evicted and tracer.enabled:
-            tracer.count("serve.cache_evictions", evicted)
+        if tracer.enabled:
+            tracer.count("serve.cache_misses")
+            if evicted:
+                tracer.count("serve.cache_evictions", evicted)
 
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept)."""
@@ -96,7 +85,7 @@ class ResponseCache:
             self._entries.clear()
 
     def stats(self) -> dict:
-        """Hit/miss/size snapshot (surfaced by ``/v1/stats``)."""
+        """Hit/miss/size snapshot (surfaced by ``/healthz``)."""
         with self._lock:
             return {
                 "entries": len(self._entries),

@@ -5,16 +5,27 @@ A deliberately small, dependency-free server on
 shutdown live here; every answer comes from an
 :class:`~repro.serve.service.AtomQueryService`.  Response bodies are
 canonical JSON (sorted keys, compact separators), so the bytes on the
-wire are exactly ``encode_body(service.<endpoint>(...))`` — the parity
-property the benchmarks gate on.
+wire equal ``encode_body(service.<endpoint>(...))`` on a cache hit as
+on a miss — the parity property the benchmarks gate on.
 
-Caching headers: every 200 carries a strong ETag combining the store's
-manifest digest (the snapshot version) with the body digest, plus the
-full digest in ``X-Store-Version``.  A request whose ``If-None-Match``
-lists the current ETag is answered ``304 Not Modified`` without a
-body; because the ETag embeds the store version, a client can never
-revalidate a response from a rebuilt store.  ``If-None-Match`` uses
-weak comparison (RFC 9110 §13.1.2), so ``W/"<etag>"`` matches too.
+Caching: the server looks every ``GET`` up in the service's
+:class:`~repro.serve.cache.ResponseCache` before routing it, keyed by
+the store version, the request path and its ``snapshot`` parameter —
+exactly what routing reads, so the key is exact.  A miss is routed,
+encoded and hashed once and stored as its ``(body, ETag)`` pair; a
+hit is framed from that pair.  Every 200 carries a strong ETag
+combining the store's manifest digest (the snapshot version) with the
+body digest, plus the full digest in ``X-Store-Version``.  A request
+whose ``If-None-Match`` lists the current ETag is answered ``304 Not
+Modified`` without a body; because the ETag embeds the store version,
+a client can never revalidate a response from a rebuilt store.
+``If-None-Match`` uses weak comparison (RFC 9110 §13.1.2), so
+``W/"<etag>"`` matches too.
+
+Connections persist as RFC 9112 §9.3 says: ``Connection`` is a
+case-insensitive token list (RFC 9110 §7.6.1), a ``close`` token ends
+the connection after the response, an HTTP/1.0 request persists only
+with a ``keep-alive`` token, and one of any other version never does.
 
 Request framing is strict: a ``Content-Length`` that is not a plain
 decimal count (negative, signed, a repeated field) is
@@ -24,7 +35,8 @@ ever parsed as the next request.  A ``chunked`` body (RFC 9112 §7.1) is
 read and discarded, trailers included, under the same limit; a
 malformed chunk is a ``400``, any other transfer coding a ``501``.  A
 request carrying both ``Transfer-Encoding`` and ``Content-Length`` is
-framed by the former and answered with ``Connection: close`` (§6.3).
+framed by the former and answered with ``Connection: close`` (§6.3),
+as is an HTTP/1.0 request carrying ``Transfer-Encoding`` (§6.1).
 
 Shutdown is graceful: the listener closes first, in-flight responses
 finish (keep-alive loops observe the closing flag), idle connections
@@ -124,12 +136,27 @@ def etag_for(store_version: str, body: bytes) -> str:
     return f'"{store_version[:16]}-{content[:16]}"'
 
 
+def _persists(version: str, headers: Dict[str, str]) -> bool:
+    """Whether the connection stays open after answering a request of
+    this HTTP ``version`` with these ``headers`` (RFC 9112 §9.3)."""
+    options = {
+        token.strip().lower()
+        for token in headers.get("connection", "").split(",")
+    }
+    if "close" in options:
+        return False
+    if version == "HTTP/1.1":
+        return True
+    return version == "HTTP/1.0" and "keep-alive" in options
+
+
 class _Request:
     """One parsed request: method, split target, headers.
 
     ``framing_error`` is the ``(status, message)`` answer of a request
     whose body could not be framed; the connection closes after it, as
-    it does after any request with ``must_close`` set.
+    it does after any request with ``must_close`` set (its version and
+    ``Connection`` header ask for that, or its framing is ambiguous).
     """
 
     __slots__ = ("method", "path", "query", "headers", "framing_error",
@@ -276,7 +303,7 @@ class AtomServer:
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
             return None
-        method, target, _version = parts
+        method, target, version = parts
         headers: Dict[str, str] = {}
         while True:
             raw = await _read_line(reader)
@@ -291,16 +318,19 @@ class AtomServer:
             if name in headers:
                 value = f"{headers[name]}, {value}"
             headers[name] = value
+        must_close = not _persists(version, headers)
         coding = headers.get("transfer-encoding")
         if coding is not None:
             if coding.lower() != "chunked":
                 return _Request(method, target, headers, (
                     501, f"transfer coding {coding!r} not implemented"))
             # Transfer-Encoding overrides Content-Length; a request
-            # carrying both may be a smuggling attempt (RFC 9112 §6.3).
+            # carrying both may be a smuggling attempt (RFC 9112 §6.3),
+            # and so is an HTTP/1.0 one carrying it at all (§6.1).
             return _Request(method, target, headers,
                             await _drain_chunked(reader),
-                            must_close="content-length" in headers)
+                            must_close=must_close or version == "HTTP/1.0"
+                            or "content-length" in headers)
         length = headers.get("content-length", "0")
         framing_error: Optional[Tuple[int, str]] = None
         if not (length.isascii() and length.isdigit()):
@@ -309,85 +339,97 @@ class AtomServer:
             framing_error = (413, f"request body over {MAX_BODY} bytes")
         elif int(length):
             await reader.readexactly(int(length))
-        return _Request(method, target, headers, framing_error)
+        return _Request(method, target, headers, framing_error, must_close)
 
     # ------------------------------------------------------------------
     # Routing + rendering
     # ------------------------------------------------------------------
 
-    def _route(self, request: _Request) -> Tuple[int, Any]:
-        """(status, payload) for one request."""
+    def _route(self, request: _Request) -> Any:
+        """The 200 payload for one ``GET``; QueryError otherwise."""
         path = request.path
         snapshot = request.query.get("snapshot")
         if path == "/healthz":
-            return 200, {
+            return {
                 "status": "ok",
                 "store_version": self.service.version,
                 "cache": self.service.cache.stats(),
             }
         if path == "/v1/stats":
-            return 200, self.service.stats()
+            return self.service.stats()
         if path.startswith("/v1/prefix/"):
             cidr = path[len("/v1/prefix/"):]
-            return 200, self.service.prefix_query(cidr, snapshot=snapshot)
+            return self.service.prefix_query(cidr, snapshot=snapshot)
         if path.startswith("/v1/atom/"):
             raw = path[len("/v1/atom/"):]
             try:
                 atom_id = int(raw)
             except ValueError:
                 raise QueryError(f"invalid atom id {raw!r}") from None
-            return 200, self.service.atom_query(atom_id, snapshot=snapshot)
+            return self.service.atom_query(atom_id, snapshot=snapshot)
         raise QueryError(f"no such endpoint {path!r}", status=404)
+
+    def _answer(self, request: _Request) -> Tuple[int, bytes, Optional[str]]:
+        """``(status, body, ETag)`` for one request.
+
+        A ``GET`` other than ``/healthz`` (whose body holds live cache
+        counters) is looked up in the response cache before routing;
+        its 200 is built once, stored with its ETag, and later framed
+        from the cache.  Every other answer has no ETag.
+        """
+        if request.framing_error is not None:
+            status, message = request.framing_error
+            return status, encode_body({"error": message}), None
+        if request.method != "GET":
+            error = f"method {request.method} not allowed"
+            return 405, encode_body({"error": error}), None
+        cache = self.service.cache
+        cacheable = request.path != "/healthz"
+        key = (self.service.version, request.path, request.query.get("snapshot"))
+        if cacheable:
+            hit, found = cache.get(key)
+            if hit:
+                body, etag = found
+                return 200, body, etag
+        try:
+            payload = self._route(request)
+        except QueryError as error:
+            return error.status, encode_body({"error": str(error)}), None
+        except StoreError as error:
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.count("serve.store_errors")
+            return 500, encode_body({"error": f"store error: {error}"}), None
+        body = encode_body(payload)
+        if not cacheable:
+            return 200, body, None
+        etag = etag_for(self.service.version, body)
+        cache.put(key, (body, etag))
+        return 200, body, etag
 
     def _respond(self, request: _Request) -> Tuple[bytes, bool]:
         """Render one request into response bytes + keep-alive flag."""
         tracer = get_tracer()
-        keep_alive = (
-            request.framing_error is None
-            and not request.must_close
-            and request.headers.get("connection", "").lower() != "close"
-        )
+        keep_alive = request.framing_error is None and not request.must_close
         with tracer.span(
             "serve-request", method=request.method, path=request.path
         ) as span:
             if tracer.enabled:
                 tracer.count("serve.requests")
-            cacheable = False
-            try:
-                if request.framing_error is not None:
-                    status, message = request.framing_error
-                    payload = {"error": message}
-                elif request.method != "GET":
-                    status, payload = 405, {
-                        "error": f"method {request.method} not allowed"
-                    }
-                else:
-                    status, payload = self._route(request)
-                    cacheable = request.path != "/healthz"
-            except QueryError as error:
-                status, payload = error.status, {"error": str(error)}
-            except StoreError as error:
-                status, payload = 500, {"error": f"store error: {error}"}
-                if tracer.enabled:
-                    tracer.count("serve.store_errors")
-            body = encode_body(payload)
+            status, body, etag = self._answer(request)
             headers = [
                 ("Server", SERVER_NAME),
                 ("Content-Type", "application/json"),
                 ("X-Store-Version", self.service.version),
             ]
-            if status == 200 and cacheable:
-                etag = etag_for(self.service.version, body)
+            if etag is not None:
+                headers.append(("ETag", etag))
                 if self._etag_matches(request, etag):
-                    status = 200  # for the span attr below
                     if tracer.enabled:
                         tracer.count("serve.responses_304")
-                    response = self._frame(
-                        304, headers + [("ETag", etag)], b"", keep_alive
-                    )
                     span.set(status=304)
+                    response = self._frame(304, headers, b"", keep_alive)
                     return response, keep_alive
-                headers.append(("ETag", etag))
             if status >= 400 and tracer.enabled:
                 tracer.count("serve.errors")
             span.set(status=status)

@@ -19,10 +19,11 @@ Three endpoint families, all pure functions of the opened store:
 A prefix's stability history depends only on the prefix, never on
 the snapshot a request names, so the service builds it once per
 prefix from :meth:`~repro.store.reader.AtomStore.query` and keeps it
-in a bounded LRU sized like the response cache.  Responses are
-memoised in a :class:`~repro.serve.cache.ResponseCache`
-under content-addressed keys salted with the store's manifest digest,
-so a rebuilt store can never serve a stale response.
+in a bounded LRU sized like the response cache.  Each stored path's
+text and each snapshot's vantage-point labels are likewise built once
+per service.  The endpoint methods themselves are uncached payload
+builders; the HTTP layer keeps their finished responses in the
+service's :class:`~repro.serve.cache.ResponseCache`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.bgp.rib import PeerId
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, PrefixError
 from repro.obs import get_tracer
-from repro.serve.cache import ResponseCache, response_key
+from repro.serve.cache import ResponseCache
 from repro.store.format import StoreError
 from repro.store.reader import AtomStore, StoreSnapshot
 
@@ -63,7 +64,9 @@ class AtomQueryService:
 
     The service never mutates the store; every answer is deterministic
     given the store's :meth:`~AtomStore.manifest_digest`, which is why
-    the response cache and the HTTP ETags both key on it.
+    the response cache and the HTTP ETags both key on it.  ``cache``
+    holds the HTTP layer's finished responses and bounds the history
+    memo.
     """
 
     def __init__(
@@ -81,6 +84,13 @@ class AtomQueryService:
         self._entries = entries
         self._base_entries = [e for e in entries if e.role == "base"]
         self.default_key = entries[0].key
+        self._labels = {
+            entry.key: [peer_label(peer) for peer in entry.vantage_points]
+            for entry in entries
+        }
+        # One text per path-table object, so bounded by the path table;
+        # two threads racing on a path at worst both build its text.
+        self._path_texts: Dict[ASPath, str] = {}
         # The snapshot list and manifest version are fixed above, so a
         # memoised history never goes stale; clients choose the keys, so
         # the memo is bounded like the response cache.
@@ -106,14 +116,20 @@ class AtomQueryService:
         except PrefixError as error:
             raise QueryError(f"invalid prefix {text!r}: {error}") from None
 
-    def _cached(self, endpoint: str, params: Any, compute):
-        key = response_key(endpoint, params, self.version)
-        hit, value = self.cache.get(key)
-        if hit:
-            return value
-        value = compute()
-        self.cache.put(key, value)
-        return value
+    def _path_rows(
+        self, entry: StoreSnapshot, paths: Tuple[Optional[ASPath], ...]
+    ) -> List[Dict[str, Any]]:
+        """JSON rows of one path vector in ``entry``'s panel order."""
+        texts = self._path_texts
+        rows = []
+        for label, path in zip(self._labels[entry.key], paths):
+            text = None
+            if path is not None:
+                text = texts.get(path)
+                if text is None:
+                    text = texts[path] = str(path)
+            rows.append({**label, "path": text})
+        return rows
 
     def _prefix_set(self, key: str) -> Set[FrozenSet[Prefix]]:
         """The CAM comparison key of one snapshot, memoised."""
@@ -175,56 +191,42 @@ class AtomQueryService:
         """
         prefix = self._parse_prefix(cidr)
         entry = self._entry(snapshot)
-
-        def compute() -> Dict[str, Any]:
-            tracer = get_tracer()
-            with tracer.span(
-                "serve-prefix", prefix=str(prefix), snapshot=entry.key
-            ):
-                found = self.store.query(prefix, key=entry.key)
-                atom: Optional[Dict[str, Any]] = None
-                location: Optional[Dict[str, Any]] = None
-                if found is not None:
-                    atom = {
-                        "id": found.atom_id,
-                        "paths": [
-                            {
-                                **peer_label(peer),
-                                "path": None if path is None else str(path),
-                            }
-                            for peer, path in zip(
-                                entry.vantage_points, found.paths
-                            )
-                        ],
-                    }
-                    location = {"shard": found.shard, "row": found.row}
-                atom_ids, present, path_changes = self._history(prefix)
-                history = [
-                    {
-                        "snapshot": other.key,
-                        "label": other.label,
-                        "role": other.role,
-                        "year": other.year,
-                        "atom_id": atom_id,
-                    }
-                    for other, atom_id in zip(self._entries, atom_ids)
-                ]
-                return {
-                    "prefix": str(prefix),
-                    "snapshot": entry.key,
-                    "atom": atom,
-                    "location": location,
-                    "history": history,
-                    "stability": {
-                        "snapshots": len(self._entries),
-                        "present": present,
-                        "path_changes": path_changes,
-                    },
+        tracer = get_tracer()
+        with tracer.span(
+            "serve-prefix", prefix=str(prefix), snapshot=entry.key
+        ):
+            found = self.store.query(prefix, key=entry.key)
+            atom: Optional[Dict[str, Any]] = None
+            location: Optional[Dict[str, Any]] = None
+            if found is not None:
+                atom = {
+                    "id": found.atom_id,
+                    "paths": self._path_rows(entry, found.paths),
                 }
-
-        return self._cached(
-            "prefix", {"prefix": str(prefix), "snapshot": entry.key}, compute
-        )
+                location = {"shard": found.shard, "row": found.row}
+            atom_ids, present, path_changes = self._history(prefix)
+            history = [
+                {
+                    "snapshot": other.key,
+                    "label": other.label,
+                    "role": other.role,
+                    "year": other.year,
+                    "atom_id": atom_id,
+                }
+                for other, atom_id in zip(self._entries, atom_ids)
+            ]
+            return {
+                "prefix": str(prefix),
+                "snapshot": entry.key,
+                "atom": atom,
+                "location": location,
+                "history": history,
+                "stability": {
+                    "snapshots": len(self._entries),
+                    "present": present,
+                    "path_changes": path_changes,
+                },
+            }
 
     def atom_query(
         self, atom_id: int, snapshot: Optional[str] = None
@@ -246,60 +248,42 @@ class AtomQueryService:
                 status=404,
             )
 
-        def compute() -> Dict[str, Any]:
-            tracer = get_tracer()
-            with tracer.span(
-                "serve-atom", atom=atom_id, snapshot=entry.key
-            ):
-                atoms = self.store.atoms(entry.key)
-                atom = atoms.atoms[atom_id]
-                members = sorted(atom.prefixes, key=Prefix.key)
-                timeline: List[Dict[str, Any]] = []
-                for base in self._base_entries:
-                    other = self.store.atoms(base.key)
-                    spanned = {
-                        other.by_prefix[prefix].atom_id
-                        for prefix in members
-                        if prefix in other.by_prefix
-                    }
-                    timeline.append(
-                        {
-                            "snapshot": base.key,
-                            "label": base.label,
-                            "year": base.year,
-                            "present": sum(
-                                1
-                                for prefix in members
-                                if prefix in other.by_prefix
-                            ),
-                            "atoms_spanned": len(spanned),
-                            "intact": atom.prefixes
-                            in self._prefix_set(base.key),
-                        }
-                    )
-                return {
-                    "snapshot": entry.key,
-                    "atom": {
-                        "id": atom.atom_id,
-                        "size": atom.size,
-                        "prefixes": [str(prefix) for prefix in members],
-                        "origins": sorted(atom.origins()),
-                        "paths": [
-                            {
-                                **peer_label(peer),
-                                "path": None if path is None else str(path),
-                            }
-                            for peer, path in zip(
-                                entry.vantage_points, atom.paths
-                            )
-                        ],
-                    },
-                    "timeline": timeline,
+        tracer = get_tracer()
+        with tracer.span("serve-atom", atom=atom_id, snapshot=entry.key):
+            atoms = self.store.atoms(entry.key)
+            atom = atoms.atoms[atom_id]
+            members = sorted(atom.prefixes, key=Prefix.key)
+            timeline: List[Dict[str, Any]] = []
+            for base in self._base_entries:
+                other = self.store.atoms(base.key)
+                spanned = {
+                    other.by_prefix[prefix].atom_id
+                    for prefix in members
+                    if prefix in other.by_prefix
                 }
-
-        return self._cached(
-            "atom", {"atom": atom_id, "snapshot": entry.key}, compute
-        )
+                timeline.append(
+                    {
+                        "snapshot": base.key,
+                        "label": base.label,
+                        "year": base.year,
+                        "present": sum(
+                            1 for prefix in members if prefix in other.by_prefix
+                        ),
+                        "atoms_spanned": len(spanned),
+                        "intact": atom.prefixes in self._prefix_set(base.key),
+                    }
+                )
+            return {
+                "snapshot": entry.key,
+                "atom": {
+                    "id": atom.atom_id,
+                    "size": atom.size,
+                    "prefixes": [str(prefix) for prefix in members],
+                    "origins": sorted(atom.origins()),
+                    "paths": self._path_rows(entry, atom.paths),
+                },
+                "timeline": timeline,
+            }
 
     def stats(self) -> Dict[str, Any]:
         """``/v1/stats``: store aggregates plus split/merge series.
@@ -310,74 +294,69 @@ class AtomQueryService:
         earlier ones — the sweep's churn signature, computed from the
         reconstructed (memoised) atom sets.
         """
-
-        def compute() -> Dict[str, Any]:
-            tracer = get_tracer()
-            with tracer.span("serve-stats", snapshots=len(self._entries)):
-                atom_counts = [
-                    [base.year, base.atom_count]
-                    for base in self._base_entries
-                ]
-                prefix_counts = [
-                    [base.year, base.prefixes] for base in self._base_entries
-                ]
-                splits: List[List[Any]] = []
-                merges: List[List[Any]] = []
-                for before, after in zip(
-                    self._base_entries, self._base_entries[1:]
-                ):
-                    first = self.store.atoms(before.key)
-                    second = self.store.atoms(after.key)
-                    targets: Dict[int, Set[int]] = {}
-                    sources: Dict[int, Set[int]] = {}
-                    for atom in first:
-                        for prefix in atom.prefixes:
-                            landed = second.by_prefix.get(prefix)
-                            if landed is None:
-                                continue
-                            targets.setdefault(atom.atom_id, set()).add(
-                                landed.atom_id
-                            )
-                            sources.setdefault(landed.atom_id, set()).add(
-                                atom.atom_id
-                            )
-                    splits.append(
-                        [
-                            after.year,
-                            sum(1 for t in targets.values() if len(t) > 1),
-                        ]
-                    )
-                    merges.append(
-                        [
-                            after.year,
-                            sum(1 for s in sources.values() if len(s) > 1),
-                        ]
-                    )
-                return {
-                    "store": {
-                        "version": self.version,
-                        "snapshots": len(self._entries),
-                        "base_snapshots": len(self._base_entries),
-                        "segment_bytes": self.store.total_bytes(),
-                        "paths": self.store.pool_options.get("path_count", 0),
-                    },
-                    "snapshots": [
-                        {
-                            "key": entry.key,
-                            "label": entry.label,
-                            "role": entry.role,
-                            "year": entry.year,
-                            "prefixes": entry.prefixes,
-                            "atoms": entry.atom_count,
-                        }
-                        for entry in self._entries
-                    ],
-                    "series": {
-                        "atom_counts": atom_counts,
-                        "prefix_counts": prefix_counts,
-                        "splits": splits,
-                        "merges": merges,
-                    },
-                }
-
-        return self._cached("stats", {}, compute)
+        tracer = get_tracer()
+        with tracer.span("serve-stats", snapshots=len(self._entries)):
+            atom_counts = [
+                [base.year, base.atom_count] for base in self._base_entries
+            ]
+            prefix_counts = [
+                [base.year, base.prefixes] for base in self._base_entries
+            ]
+            splits: List[List[Any]] = []
+            merges: List[List[Any]] = []
+            for before, after in zip(
+                self._base_entries, self._base_entries[1:]
+            ):
+                first = self.store.atoms(before.key)
+                second = self.store.atoms(after.key)
+                targets: Dict[int, Set[int]] = {}
+                sources: Dict[int, Set[int]] = {}
+                for atom in first:
+                    for prefix in atom.prefixes:
+                        landed = second.by_prefix.get(prefix)
+                        if landed is None:
+                            continue
+                        targets.setdefault(atom.atom_id, set()).add(
+                            landed.atom_id
+                        )
+                        sources.setdefault(landed.atom_id, set()).add(
+                            atom.atom_id
+                        )
+                splits.append(
+                    [
+                        after.year,
+                        sum(1 for t in targets.values() if len(t) > 1),
+                    ]
+                )
+                merges.append(
+                    [
+                        after.year,
+                        sum(1 for s in sources.values() if len(s) > 1),
+                    ]
+                )
+            return {
+                "store": {
+                    "version": self.version,
+                    "snapshots": len(self._entries),
+                    "base_snapshots": len(self._base_entries),
+                    "segment_bytes": self.store.total_bytes(),
+                    "paths": self.store.pool_options.get("path_count", 0),
+                },
+                "snapshots": [
+                    {
+                        "key": entry.key,
+                        "label": entry.label,
+                        "role": entry.role,
+                        "year": entry.year,
+                        "prefixes": entry.prefixes,
+                        "atoms": entry.atom_count,
+                    }
+                    for entry in self._entries
+                ],
+                "series": {
+                    "atom_counts": atom_counts,
+                    "prefix_counts": prefix_counts,
+                    "splits": splits,
+                    "merges": merges,
+                },
+            }

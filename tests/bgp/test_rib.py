@@ -42,14 +42,6 @@ class TestAdjRIBIn:
         table.announce(prefix, attrs(1, 3))
         assert table.get(prefix).as_path.origin == 3
 
-    def test_copy_is_independent(self):
-        table = AdjRIBIn(("rrc00", 1, "10.0.0.1"))
-        prefix = Prefix.parse("10.0.0.0/8")
-        table.announce(prefix, attrs(1, 2))
-        clone = table.copy()
-        clone.withdraw(prefix)
-        assert prefix in table
-
 
 class TestRIBSnapshot:
     def test_from_records(self):

@@ -2,12 +2,26 @@
 
 import http.client
 import json
+import random
 import re
 import socket
 
 import pytest
 
-from repro.serve import encode_body, etag_for, serve_in_thread
+import repro.serve.http as serve_http
+from repro.core.atoms import AtomSet, PolicyAtom
+from repro.net.aspath import ASPath
+from repro.net.prefix import Prefix
+from repro.serve import (
+    AtomQueryService,
+    AtomServer,
+    ResponseCache,
+    encode_body,
+    etag_for,
+    serve_in_thread,
+)
+from repro.store import AtomStore
+from repro.store.writer import StoreWriter
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +155,131 @@ class TestCachingHeaders:
         assert status == 200 and body
 
 
+def mix_targets(store):
+    """``{target: fresh service payload}`` over prefixes and atoms under
+    two snapshot keys, plus ``/v1/stats``."""
+    fresh = AtomQueryService(store)
+    entries = store.snapshots()
+    targets = {"/v1/stats": fresh.stats()}
+    for entry in (entries[0], entries[-1]):
+        atoms = store.atoms(entry.key)
+        for prefix in sorted(atoms.by_prefix, key=Prefix.key)[:10]:
+            targets[f"/v1/prefix/{prefix}?snapshot={entry.key}"] = (
+                fresh.prefix_query(str(prefix), snapshot=entry.key))
+        for atom_id in range(min(3, len(atoms))):
+            targets[f"/v1/atom/{atom_id}?snapshot={entry.key}"] = (
+                fresh.atom_query(atom_id, snapshot=entry.key))
+    return targets
+
+
+class TestResponseCaching:
+    """The server caches each finished 200 as its body and ETag."""
+
+    def test_responses_are_cached(self, server, connection, served_store):
+        entry = served_store.snapshots()[0]
+        prefix = next(iter(served_store.atoms(entry.key).by_prefix))
+        first = fetch(connection, f"/v1/prefix/{prefix}")
+        hits = server.service.cache.stats()["hits"]
+        second = fetch(connection, f"/v1/prefix/{prefix}")
+        assert server.service.cache.stats()["hits"] == hits + 1
+        assert second[2] == first[2]
+        assert second[1]["ETag"] == first[1]["ETag"]
+
+    def test_seeded_mix_with_evictions(self, served_store_dir, served_store):
+        """Hits, misses and evictions all answer a fresh service's bytes,
+        and ``If-None-Match`` gets a 304 on a hit as on a miss."""
+        expected = mix_targets(served_store)
+        pool = sorted(expected)
+        rng = random.Random(23)
+        sequence = [rng.choice(pool) for _ in range(200)]
+        revalidated = set()
+        with serve_in_thread(str(served_store_dir), cache_entries=8) as handle:
+            version = handle.service.version
+            cache = handle.service.cache
+            conn = http.client.HTTPConnection(handle.host, handle.port,
+                                              timeout=30)
+            try:
+                for index, target in enumerate(sequence):
+                    body = encode_body(expected[target])
+                    etag = etag_for(version, body)
+                    hits = cache.stats()["hits"]
+                    if index % 5 == 4:
+                        status, headers, got = fetch(
+                            conn, target, headers={"If-None-Match": etag})
+                        assert (status, got) == (304, b""), target
+                        revalidated.add(
+                            "hit" if cache.stats()["hits"] > hits else "miss")
+                    else:
+                        status, headers, got = fetch(conn, target)
+                        assert (status, got) == (200, body), target
+                    assert headers["ETag"] == etag, target
+            finally:
+                conn.close()
+            stats = cache.stats()
+        assert revalidated == {"hit", "miss"}
+        assert stats["hits"] + stats["misses"] == len(sequence)
+        assert stats["hits"] > 0
+        assert stats["entries"] == 8 < stats["misses"]  # so some evicted
+
+    def test_encode_runs_once_per_miss(self, served_store_dir, monkeypatch):
+        calls = {"encode_body": 0, "etag_for": 0}
+
+        def counted(name):
+            original = getattr(serve_http, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(serve_http, name, counted(name))
+        targets = ["/v1/stats", "/v1/atom/0", "/v1/atom/1",
+                   "/v1/prefix/203.0.113.0/24"]
+        with serve_in_thread(str(served_store_dir)) as handle:
+            conn = http.client.HTTPConnection(handle.host, handle.port,
+                                              timeout=30)
+            try:
+                for target in targets:
+                    assert fetch(conn, target)[0] == 200
+                assert calls == {"encode_body": 4, "etag_for": 4}
+                for target in targets * 3:
+                    assert fetch(conn, target)[0] == 200
+            finally:
+                conn.close()
+            stats = handle.service.cache.stats()
+        assert (stats["misses"], stats["hits"]) == (4, 12)
+        assert calls == {"encode_body": 4, "etag_for": 4}
+
+    def test_shared_cache_keeps_stores_apart(self, tmp_path):
+        """One cache behind two services never serves one store's body
+        for the other's identical request."""
+        prefix = Prefix.parse("192.0.2.0/24")
+        peer = ("rrc00", 65001, "10.0.0.1")
+        for name, hops in (("a", [65001, 9]), ("b", [65001, 7, 9])):
+            writer = StoreWriter(tmp_path / name)
+            writer.add_snapshot("s0", AtomSet(
+                [PolicyAtom(0, frozenset([prefix]),
+                            (ASPath.from_asns(hops),))], [peer]))
+            writer.close()
+        shared = ResponseCache(16)
+        target = f"/v1/prefix/{prefix}"
+        with AtomStore(tmp_path / "a") as a, AtomStore(tmp_path / "b") as b:
+            services = [AtomQueryService(store, cache=shared)
+                        for store in (a, b)]
+            assert services[0].version != services[1].version
+            expected = [encode_body(service.prefix_query(str(prefix)))
+                        for service in services]
+            assert expected[0] != expected[1]
+            for _round in range(2):
+                for service, body in zip(services, expected):
+                    raw, _ = AtomServer(service)._respond(
+                        serve_http._Request("GET", target, {}))
+                    assert raw.endswith(b"\r\n\r\n" + body)
+        assert shared.stats()["misses"] == 2
+        assert shared.stats()["hits"] == 2
+
+
 class TestErrors:
     def test_unknown_endpoint_404(self, server, connection):
         status, _, body = fetch(connection, "/nope")
@@ -191,6 +330,37 @@ class TestConnections:
             assert headers["Connection"] == "close"
         finally:
             conn.close()
+
+    def test_http10_closes_by_default(self, server):
+        """An HTTP/1.0 request persists only with ``keep-alive``
+        (RFC 9112 §9.3)."""
+        answer = exchange(server, b"GET /v1/stats HTTP/1.0\r\n\r\n")
+        assert statuses(answer) == [200]
+        assert b"\r\nConnection: close\r\n" in answer
+
+    def test_http10_keep_alive_persists(self, server):
+        answer = exchange(
+            server,
+            b"GET /v1/stats HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        )
+        assert statuses(answer) == [200, 200]
+        first, second = answer.split(b"HTTP/1.1 200 OK")[1:]
+        assert b"\r\nConnection: keep-alive\r\n" in first
+        assert b"\r\nConnection: close\r\n" in second
+
+    @pytest.mark.parametrize("fields", [
+        b"Connection: close, TE\r\n",
+        b"Connection: TE, Close\r\n",
+        b"Connection: keep-alive\r\nConnection: close\r\n",
+    ])
+    def test_close_token_in_a_list_closes(self, server, fields):
+        """``Connection`` is a token list (RFC 9110 §7.6.1)."""
+        answer = exchange(
+            server, b"GET /v1/stats HTTP/1.1\r\n" + fields + b"\r\n"
+            + FOLLOW_UP)
+        assert statuses(answer) == [200]
+        assert b"\r\nConnection: close\r\n" in answer
 
     def test_garbage_request_closes_quietly(self, server):
         with socket.create_connection(
@@ -341,6 +511,17 @@ class TestTransferEncoding:
         answer = exchange(
             server,
             CHUNKED + b"Content-Length: 5\r\n\r\n0\r\n\r\n" + FOLLOW_UP,
+        )
+        assert statuses(answer) == [200]
+        assert b"\r\nConnection: close\r\n" in answer
+
+    def test_http10_chunked_answers_then_closes(self, server):
+        """An HTTP/1.0 message carrying Transfer-Encoding closes the
+        connection after it, keep-alive or not (RFC 9112 §6.1)."""
+        answer = exchange(
+            server,
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n" + FOLLOW_UP,
         )
         assert statuses(answer) == [200]
         assert b"\r\nConnection: close\r\n" in answer

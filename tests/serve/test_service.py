@@ -73,17 +73,6 @@ class TestPrefixQuery:
             service.prefix_query("10.0.0.0/8", snapshot="nope")
         assert info.value.status == 404
 
-    def test_responses_are_cached(self, served_store):
-        cache = ResponseCache(16)
-        service = AtomQueryService(served_store, cache=cache)
-        entry = served_store.snapshots()[0]
-        prefix = next(iter(served_store.atoms(entry.key).by_prefix))
-        first = service.prefix_query(str(prefix))
-        hits_before = cache.stats()["hits"]
-        second = service.prefix_query(str(prefix))
-        assert second == first
-        assert cache.stats()["hits"] == hits_before + 1
-
 
 def all_prefixes(store):
     found = set()
