@@ -9,9 +9,9 @@ deterministic in exactly those inputs), so repeated sweeps can skip
 recomputation entirely.
 
 Entries are one JSON file each under ``<root>/<aa>/<digest>.json``,
-written atomically (temp file + ``os.replace``).  A corrupted or
-version-skewed entry is treated as a miss, deleted, and recomputed —
-never crashed on.
+written with :func:`~repro.util.durable.atomic_file`; opening a cache
+sweeps dead writers' temp files.  A corrupted or version-skewed entry
+is treated as a miss, deleted, and recomputed — never crashed on.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Any, Optional
 
@@ -29,6 +28,7 @@ from repro.engine.jobs import (
     result_from_payload,
     result_to_payload,
 )
+from repro.util.durable import atomic_file, sweep_stale_tmp
 
 #: Bump whenever atom computation, sanitization, or the simulator
 #: change semantics: old cache entries silently become unreachable.
@@ -88,6 +88,7 @@ class ResultCache:
     def __init__(self, root: os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        sweep_stale_tmp(self.root)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -114,24 +115,11 @@ class ResultCache:
     def put(self, key: str, result: QuarterResult) -> Path:
         """Atomically persist one result."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"key": key, "result": result_to_payload(result)}
-        # The suffix must be unique per *call*, not per process: two
-        # threads (or a re-entrant batch) writing the same key would
-        # otherwise share a tmp path, and one writer could truncate the
-        # file out from under the other's os.replace, persisting a
-        # corrupt entry.
-        tmp = path.parent / f"{path.name}.tmp{os.getpid()}-{uuid.uuid4().hex}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        with atomic_file(path) as handle:
+            handle.write(
+                json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            )
         return path
 
     def __contains__(self, key: str) -> bool:

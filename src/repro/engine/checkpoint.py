@@ -26,7 +26,6 @@ import json
 import os
 import pickle
 import struct
-import uuid
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ from repro.engine.jobs import (
     result_from_payload,
     result_to_payload,
 )
+from repro.util.durable import atomic_file, sweep_stale_tmp
 
 
 class CheckpointLog:
@@ -112,17 +112,19 @@ class StreamCheckpoint:
     stored — a resumed pipeline re-reads the stream up to the cursor,
     and applying those records rebuilds the boundary RIB exactly.
 
-    :meth:`save` swaps ``state.json`` in via temp file + ``os.replace``,
-    so a kill anywhere leaves the previous state or the new one, losing
-    at most the window in flight.  :meth:`load` returns None when no
-    checkpoint exists and raises :class:`StreamCheckpointError` when
-    the file is corrupt, of another version, or was saved under a
-    different ``config`` (resuming under a different window size would
-    silently change results).
+    :meth:`save` swaps ``state.json`` in with
+    :func:`~repro.util.durable.atomic_file`, so a kill anywhere leaves
+    the previous state or the new one, losing at most the window in
+    flight; opening the directory sweeps a killed save's temp file.
+    :meth:`load` returns None when no checkpoint exists and raises
+    :class:`StreamCheckpointError` when the file is corrupt, of another
+    version, or was saved under a different ``config`` (resuming under
+    a different window size would silently change results).
     """
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
+        sweep_stale_tmp(self.directory)
 
     def _state_path(self) -> Path:
         return self.directory / STATE_NAME
@@ -139,7 +141,6 @@ class StreamCheckpoint:
         ``config`` is stored verbatim and checked on resume; ``meta`` is
         returned untouched by :meth:`load`.
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
         state = {
             "version": STREAM_CHECKPOINT_VERSION,
             "window_index": window_index,
@@ -148,19 +149,12 @@ class StreamCheckpoint:
             "meta": dict(meta or {}),
         }
         state_path = self._state_path()
-        state_tmp = state_path.parent / f"{state_path.name}.tmp{os.getpid()}"
-        try:
-            state_tmp.write_text(
-                json.dumps(state, indent=1, sort_keys=True) + "\n",
-                encoding="utf-8",
+        with atomic_file(state_path) as handle:
+            handle.write(
+                (json.dumps(state, indent=1, sort_keys=True) + "\n").encode(
+                    "utf-8"
+                )
             )
-            os.replace(state_tmp, state_path)
-        finally:
-            if state_tmp.exists():
-                try:
-                    state_tmp.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
         return state_path
 
     def load(
@@ -233,7 +227,8 @@ class WorldCheckpoint:
     and the exact ``advance_to`` cadence applied since — the invariant
     the engine's per-process world cache already relies on.  This class
     makes that lineage durable: :meth:`save` snapshots a world at its
-    applied cadence (atomic tmp+replace, digest-stamped), and
+    applied cadence (digest-stamped, written with
+    :func:`~repro.util.durable.atomic_file`), and
     :meth:`restore` hands a freshly forked worker the *nearest* saved
     prefix of a job's warmup so the cold start replays only the gap
     instead of the whole history.
@@ -245,6 +240,8 @@ class WorldCheckpoint:
     damage (bad magic, version skew, digest or cadence mismatch,
     unpicklable blob) is treated as a miss: the file is dropped and the
     worker falls back to the next shorter prefix or a from-birth replay.
+    Workers never sweep the directory; the engine does, once per run
+    (:meth:`~repro.engine.scheduler.ExecutionEngine.run`).
     """
 
     def __init__(
@@ -291,7 +288,6 @@ class WorldCheckpoint:
         path = self.path_for(internet.params, internet.start, cadence)
         if path.exists():
             return None
-        self.directory.mkdir(parents=True, exist_ok=True)
         blob = gzip.compress(
             pickle.dumps(
                 (cadence, internet), protocol=pickle.HIGHEST_PROTOCOL
@@ -299,22 +295,12 @@ class WorldCheckpoint:
             compresslevel=1,
             mtime=0,
         )
-        image = (
-            WORLD_HEADER.pack(WORLD_MAGIC, WORLD_CHECKPOINT_VERSION)
-            + hashlib.sha256(blob).digest()
-            + blob
-        )
-        # Unique per call: parallel workers may save the same boundary.
-        tmp = path.parent / f"{path.name}.tmp{os.getpid()}-{uuid.uuid4().hex}"
-        try:
-            tmp.write_bytes(image)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+        with atomic_file(path) as handle:
+            handle.write(
+                WORLD_HEADER.pack(WORLD_MAGIC, WORLD_CHECKPOINT_VERSION)
+            )
+            handle.write(hashlib.sha256(blob).digest())
+            handle.write(blob)
         return path
 
     # -- restore --------------------------------------------------------

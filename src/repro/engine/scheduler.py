@@ -58,6 +58,7 @@ from repro.engine.metrics import (
 )
 from repro.obs import get_tracer
 from repro.store.writer import part_complete
+from repro.util.durable import sweep_stale_tmp
 
 
 class EngineError(RuntimeError):
@@ -143,6 +144,9 @@ class ExecutionEngine:
         """Execute all jobs; results come back in submission order."""
         snapshot_jobs = list(snapshot_jobs)
         if self.world_checkpoint_dir is not None:
+            # Workers only write checkpoints; the parent sweeps killed
+            # writers' temp files once, before any job starts.
+            sweep_stale_tmp(self.world_checkpoint_dir)
             # Stamp the engine-level checkpoint directory onto jobs that
             # do not already carry one.  Cache keys are unaffected — the
             # field is excluded from SnapshotJob.spec() by design.

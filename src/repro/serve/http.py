@@ -8,19 +8,21 @@ canonical JSON (sorted keys, compact separators), so the bytes on the
 wire equal ``encode_body(service.<endpoint>(...))`` on a cache hit as
 on a miss — the parity property the benchmarks gate on.
 
-Caching: the server looks every ``GET`` up in the service's
-:class:`~repro.serve.cache.ResponseCache` before routing it, keyed by
-the store version, the request path and its ``snapshot`` parameter —
-exactly what routing reads, so the key is exact.  A miss is routed,
-encoded and hashed once and stored as its ``(body, ETag)`` pair; a
-hit is framed from that pair.  Every 200 carries a strong ETag
+Caching: the server looks every ``GET`` and ``HEAD`` up in the
+service's :class:`~repro.serve.cache.ResponseCache` before routing it,
+keyed by the store version, the request path and its ``snapshot``
+parameter — exactly what routing reads, so the key is exact.  A miss
+is routed, encoded and hashed once and stored as its ``(body, ETag)``
+pair; a hit is framed from that pair.  Every 200 carries a strong ETag
 combining the store's manifest digest (the snapshot version) with the
 body digest, plus the full digest in ``X-Store-Version``.  A request
 whose ``If-None-Match`` lists the current ETag is answered ``304 Not
 Modified`` without a body; because the ETag embeds the store version,
 a client can never revalidate a response from a rebuilt store.
 ``If-None-Match`` uses weak comparison (RFC 9110 §13.1.2), so
-``W/"<etag>"`` matches too.
+``W/"<etag>"`` matches too.  A ``HEAD`` is answered exactly like a
+``GET``, ``Content-Length`` included, without the body (RFC 9110
+§9.3.2); any other method gets ``405`` with ``Allow: GET, HEAD``.
 
 Connections persist as RFC 9112 §9.3 says: ``Connection`` is a
 case-insensitive token list (RFC 9110 §7.6.1), a ``close`` token ends
@@ -59,8 +61,8 @@ from repro.store.format import StoreError
 #: Longest request line / header line accepted (bytes).
 MAX_LINE = 8192
 
-#: Largest request body accepted (the API is GET-only; bodies are drained,
-#: larger ones refused with 413).
+#: Largest request body accepted (the API is GET/HEAD-only; bodies are
+#: drained, larger ones refused with 413).
 MAX_BODY = 65536
 
 SERVER_NAME = "repro-serve"
@@ -346,7 +348,7 @@ class AtomServer:
     # ------------------------------------------------------------------
 
     def _route(self, request: _Request) -> Any:
-        """The 200 payload for one ``GET``; QueryError otherwise."""
+        """The 200 payload for one ``GET``/``HEAD``; QueryError otherwise."""
         path = request.path
         snapshot = request.query.get("snapshot")
         if path == "/healthz":
@@ -372,15 +374,15 @@ class AtomServer:
     def _answer(self, request: _Request) -> Tuple[int, bytes, Optional[str]]:
         """``(status, body, ETag)`` for one request.
 
-        A ``GET`` other than ``/healthz`` (whose body holds live cache
-        counters) is looked up in the response cache before routing;
-        its 200 is built once, stored with its ETag, and later framed
-        from the cache.  Every other answer has no ETag.
+        A ``GET`` or ``HEAD`` other than ``/healthz`` (whose body holds
+        live cache counters) is looked up in the response cache before
+        routing; its 200 is built once, stored with its ETag, and later
+        framed from the cache.  Every other answer has no ETag.
         """
         if request.framing_error is not None:
             status, message = request.framing_error
             return status, encode_body({"error": message}), None
-        if request.method != "GET":
+        if request.method not in ("GET", "HEAD"):
             error = f"method {request.method} not allowed"
             return 405, encode_body({"error": error}), None
         cache = self.service.cache
@@ -430,10 +432,15 @@ class AtomServer:
                     span.set(status=304)
                     response = self._frame(304, headers, b"", keep_alive)
                     return response, keep_alive
+            if status == 405:
+                headers.append(("Allow", "GET, HEAD"))
             if status >= 400 and tracer.enabled:
                 tracer.count("serve.errors")
             span.set(status=status)
-            return self._frame(status, headers, body, keep_alive), keep_alive
+            response = self._frame(status, headers, body, keep_alive)
+            if request.method == "HEAD":
+                response = response[: len(response) - len(body)]
+            return response, keep_alive
 
     @staticmethod
     def _etag_matches(request: _Request, etag: str) -> bool:

@@ -16,10 +16,10 @@ ranges of at most ``shard_rows`` rows — the manifest records every
 shard's ``[first, last]`` prefix so point queries and future shard
 routing (``repro serve``) touch one segment.
 
-Segment files are written via temp file + atomic rename and the
-manifest last, so a killed build never leaves a store that *opens*:
-:class:`~repro.store.reader.AtomStore` requires the manifest, and the
-manifest references only fully written, digest-stamped segments.
+Segment files are written with :func:`~repro.util.durable.atomic_file`
+and the manifest last, so a killed build never leaves a store that
+*opens*: :class:`~repro.store.reader.AtomStore` requires the manifest,
+and the manifest references only fully written, digest-stamped segments.
 
 The module also hosts the engine integration helpers: sweep workers
 persist self-contained per-job **parts** (mini-stores under
@@ -61,6 +61,7 @@ from repro.store.format import (
     frame_segment,
     peer_id_to_json,
 )
+from repro.util.durable import atomic_file, sweep_stale_tmp
 
 if TYPE_CHECKING:  # pragma: no cover - the reader imports this module
     from repro.store.reader import AtomStore
@@ -73,67 +74,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Directory (under the store root) holding per-job sweep parts.
 PARTS_DIR = "parts"
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp file + atomic rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - best effort
-                pass
-
-
-def _pid_alive(pid: int) -> bool:
-    """True when ``pid`` names a live process (or we cannot tell)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):  # pragma: no cover - other owner
-        return True
-    return True
-
-
-def sweep_stale_tmp(directory: os.PathLike) -> int:
-    """Remove ``*.tmp<pid>`` leftovers whose writer died; count removed.
-
-    A sweep worker killed mid-``_atomic_write`` leaves its temp file
-    behind — never a corrupt store (the rename is atomic and the
-    manifest lands last), but the orphans accumulate under ``parts/``
-    across re-runs.  The owning pid is embedded in the temp name, so a
-    liveness probe distinguishes a dead writer's litter from a
-    concurrent writer still mid-write; only the former is removed.
-    """
-    base = Path(directory)
-    if not base.is_dir():
-        return 0
-    removed = 0
-    for tmp in base.rglob("*.tmp*"):
-        if not tmp.is_file():
-            continue
-        suffix = tmp.name.rpartition(".tmp")[2]
-        digits = suffix.split("-", 1)[0]
-        if not digits.isdigit():
-            continue
-        if _pid_alive(int(digits)):
-            continue
-        try:
-            tmp.unlink()
-        except OSError:  # pragma: no cover - raced with another sweeper
-            continue
-        removed += 1
-    if removed:
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("store.tmp_swept", removed)
-    return removed
 
 
 def _prefix_at(payload, row: int) -> str:
@@ -176,7 +116,8 @@ class StoreWriter:
 
     def _write_segment(self, relpath: str, kind: int, payload: bytes) -> None:
         image = frame_segment(kind, payload)
-        _atomic_write(self.root / relpath, image)
+        with atomic_file(self.root / relpath) as handle:
+            handle.write(image)
         self._segments[relpath] = {"bytes": len(image), "sha256": digest(image)}
         tracer = get_tracer()
         if tracer.enabled:
@@ -404,12 +345,12 @@ class StoreWriter:
             "snapshots": self._snapshots,
         }
         path = self.root / MANIFEST_NAME
-        _atomic_write(
-            path,
-            (json.dumps(manifest, indent=1, sort_keys=False) + "\n").encode(
-                "utf-8"
-            ),
-        )
+        with atomic_file(path) as handle:
+            handle.write(
+                (json.dumps(manifest, indent=1, sort_keys=False) + "\n").encode(
+                    "utf-8"
+                )
+            )
         return path
 
 
@@ -439,7 +380,8 @@ def write_part(
     an intern pool across processes) — :func:`merge_parts` re-interns
     them into the final store's global table.  An existing complete
     part for the same job is left untouched (its content is a pure
-    function of the job digest).
+    function of the job digest); an incomplete one is rewritten after
+    dead writers' temp files are swept from its directory.
     """
     if part_complete(root, job_key):
         return part_dir(root, job_key) / MANIFEST_NAME
@@ -460,12 +402,13 @@ def merge_parts(root: os.PathLike, job_keys: Sequence[str]) -> Path:
     jobs.  Each part opens with digest verification and every snapshot
     is copied as columns (:meth:`StoreWriter.copy_snapshot`), so the
     merged shards keep their part's row ranges and the store equals one
-    written from the parts' rebuilt atoms.  Returns the final manifest
-    path.
+    written from the parts' rebuilt atoms.  Dead writers' temp files
+    are swept from the whole store root first.  Returns the final
+    manifest path.
     """
     from repro.store.reader import AtomStore
 
-    sweep_stale_tmp(Path(root) / PARTS_DIR)
+    sweep_stale_tmp(root)
     missing = [key for key in job_keys if not part_complete(root, key)]
     if missing:
         raise StoreError(

@@ -15,6 +15,7 @@ distinct AS path and attribute bundle once.
 from __future__ import annotations
 
 import gzip
+import io
 import os
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,6 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.bgp.messages import RouteRecord
 from repro.obs import get_tracer
 from repro.stream.serialize import DecodeMemo, record_from_json, record_to_json
+from repro.util.durable import atomic_file, sweep_stale_tmp
 
 
 class RecordArchive:
@@ -66,23 +68,18 @@ class RecordArchive:
         for (project, collector, record_type), group in groups.items():
             stamp = dump_timestamp if dump_timestamp is not None else group[0].timestamp
             path = self._dump_path(project, collector, record_type, stamp)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Write via a temp file + atomic rename: an interrupted run
-            # must never leave a truncated dump that a later read (or an
-            # engine cache build) would silently ingest.
-            tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
-            try:
-                with gzip.open(tmp, "wt", encoding="utf-8") as handle:
-                    for record in group:
-                        handle.write(record_to_json(record))
-                        handle.write("\n")
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    try:
-                        tmp.unlink()
-                    except OSError:  # pragma: no cover - best effort
-                        pass
+            # An interrupted run must never leave a truncated dump that a
+            # later read (or an engine cache build) would silently ingest.
+            # The gzip header names no file and has mtime 0, so a dump's
+            # bytes depend on its records alone.
+            with atomic_file(path) as raw, gzip.GzipFile(
+                filename="", mode="wb", fileobj=raw, mtime=0
+            ) as compressed, io.TextIOWrapper(
+                compressed, encoding="utf-8"
+            ) as handle:
+                for record in group:
+                    handle.write(record_to_json(record))
+                    handle.write("\n")
             written.append(path)
         return written
 
@@ -143,7 +140,7 @@ class RecordArchive:
                     type_dir = coll_dir / rtype
                     if not type_dir.is_dir():
                         continue
-                    self._sweep_stale_tmp(type_dir)
+                    sweep_stale_tmp(type_dir)
                     for path in sorted(type_dir.rglob("*.jsonl.gz")):
                         # Dump files are named <timestamp>.jsonl.gz;
                         # anything else (editor droppings, partial
@@ -154,33 +151,6 @@ class RecordArchive:
                         found.append((proj, coll, rtype, int(head), path))
         found.sort(key=lambda item: (item[3], item[0], item[1]))
         return found
-
-    @staticmethod
-    def _sweep_stale_tmp(type_dir: Path) -> None:
-        """Remove orphaned ``*.tmp<pid>`` files from killed writers.
-
-        ``write_dump`` stages each dump as ``<name>.tmp<pid>`` before
-        the atomic rename; a writer killed mid-write leaves that file
-        behind forever.  A tmp file whose owning pid is no longer alive
-        cannot be completed, so enumeration deletes it (a live pid's
-        file is left alone — the writer may still rename it).
-        """
-        for tmp in type_dir.rglob("*.jsonl.gz.tmp*"):
-            suffix = tmp.name.rpartition(".tmp")[2]
-            if not suffix.isdigit():
-                continue
-            pid = int(suffix)
-            try:
-                alive = pid == os.getpid() or (os.kill(pid, 0) is None)
-            except ProcessLookupError:
-                alive = False
-            except PermissionError:  # pragma: no cover - pid exists
-                alive = True
-            if not alive:
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
 
     def records(
         self,

@@ -1,4 +1,5 @@
-"""Shared utilities: UTC date handling and deterministic sub-seeding."""
+"""Shared utilities: UTC date handling, deterministic sub-seeding and
+durable file writes (:mod:`repro.util.durable`)."""
 
 from repro.util.dates import (
     HOUR,

@@ -306,8 +306,9 @@ class TestErrors:
         assert status == 404
 
     def test_post_405(self, server, connection):
-        status, _, body = fetch(connection, "/v1/stats", method="POST")
+        status, headers, body = fetch(connection, "/v1/stats", method="POST")
         assert status == 405
+        assert headers["Allow"] == "GET, HEAD"  # RFC 9110 §15.5.6
         assert "POST" in json.loads(body)["error"]
 
 
@@ -395,6 +396,58 @@ FOLLOW_UP = b"GET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n"
 def statuses(answer: bytes):
     """Status codes of every response in ``answer``, in order."""
     return [int(code) for code in re.findall(rb"HTTP/1\.1 (\d{3}) ", answer)]
+
+
+def responses(answer: bytes, bodies):
+    """Split ``answer`` into ``(status, headers, body)`` per response;
+    ``bodies[i]`` says whether response ``i`` carries its body.  Fails
+    unless the responses account for every byte."""
+    parsed = []
+    for has_body in bodies:
+        head, _, answer = answer.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers.get("Content-Length", 0)) if has_body else 0
+        parsed.append((int(status_line.split()[1]), headers, answer[:length]))
+        answer = answer[length:]
+    assert answer == b""
+    return parsed
+
+
+class TestHead:
+    """``HEAD`` is ``GET`` without the body (RFC 9110 §9.3.2)."""
+
+    def test_head_then_get_on_one_keep_alive_connection(self, server):
+        answer = exchange(
+            server, b"HEAD /v1/stats HTTP/1.1\r\n\r\n" + FOLLOW_UP
+        )
+        (head, _, none), (get, _, body) = responses(answer, [False, True])
+        assert head == get == 200
+        assert none == b"" and body == encode_body(server.service.stats())
+
+    @pytest.mark.parametrize("target", [
+        "/v1/stats", "/v1/atom/0", "/healthz", "/v1/prefix/banana", "/nope",
+    ])
+    def test_head_headers_equal_get_headers(self, server, target):
+        answers = {}
+        for method in ("GET", "HEAD", "GET", "HEAD"):  # misses, then hits
+            answer = exchange(server, (
+                f"{method} {target} HTTP/1.1\r\nConnection: close\r\n\r\n"
+            ).encode("latin-1"))
+            ((status, headers, body),) = responses(answer, [method == "GET"])
+            answers.setdefault(method, []).append((status, headers))
+        assert answers["HEAD"] == answers["GET"]
+
+    def test_head_revalidates_like_get(self, server):
+        answer = exchange(server, FOLLOW_UP)
+        ((_, headers, _),) = responses(answer, [True])
+        answer = exchange(server, (
+            "HEAD /v1/stats HTTP/1.1\r\nConnection: close\r\n"
+            f"If-None-Match: {headers['ETag']}\r\n\r\n"
+        ).encode("latin-1"))
+        ((status, revalidated, _),) = responses(answer, [False])
+        assert status == 304
+        assert revalidated["ETag"] == headers["ETag"]
 
 
 class TestFraming:

@@ -1,21 +1,16 @@
-"""Orphaned temp-file sweeping under the store's ``parts/`` tree.
+"""Orphaned temp-file sweeping under a store's tree.
 
-A sweep worker killed mid-write leaves ``*.tmp<pid>`` litter next to
-its part segments — harmless to correctness (renames are atomic, the
-manifest lands last) but accumulating across re-runs.  The sweep must
-remove exactly the dead writers' files: live pids and non-temp names
-stay untouched.
+A sweep worker killed mid-write leaves ``*.tmp<pid>-<hex>`` litter next
+to its part segments — harmless to correctness (renames are atomic,
+the manifest lands last) but accumulating across re-runs.  The sweep
+(:func:`repro.util.durable.sweep_stale_tmp`) must remove exactly the
+dead writers' files: live pids and non-temp names stay untouched.
 """
 
 import os
 
-from repro.store.writer import (
-    PARTS_DIR,
-    merge_parts,
-    part_dir,
-    sweep_stale_tmp,
-    write_part,
-)
+from repro.store.writer import PARTS_DIR, merge_parts, part_dir, write_part
+from repro.util.durable import sweep_stale_tmp
 
 
 def seed_part(root, job_key, computation):

@@ -1,5 +1,7 @@
 """Tests for the on-disk record archive."""
 
+import multiprocessing
+
 import pytest
 
 from repro.bgp.attributes import PathAttributes
@@ -20,6 +22,13 @@ def make_record(collector="rrc00", project="ris", peer_asn=1, timestamp=1000,
                 PathAttributes(ASPath.from_asns([peer_asn, 9])),
             )
         ],
+    )
+
+
+def write_one_dump(root):
+    """Write one fixed dump under ``root`` (a spawned process's target)."""
+    RecordArchive(root).write_dump(
+        [make_record(), make_record(peer_asn=2)], dump_timestamp=100
     )
 
 
@@ -94,18 +103,37 @@ class TestArchive:
         archive = RecordArchive(tmp_path)
         archive.write_dump([make_record(timestamp=100)], dump_timestamp=100)
         type_dir = next(tmp_path.rglob("100.jsonl.gz")).parent
-        # A tmp file from a pid that no longer exists: orphaned, swept.
-        dead = type_dir / "200.jsonl.gz.tmp999999999"
-        dead.write_bytes(b"partial")
+        # Temp files from a pid that no longer exists, in the writer's
+        # name scheme and the older one without a uuid: orphaned, swept.
+        dead = [type_dir / f"200.jsonl.gz.tmp999999999-{'a' * 32}",
+                type_dir / "201.jsonl.gz.tmp999999999"]
+        for path in dead:
+            path.write_bytes(b"partial")
         # A live writer's tmp file (our own pid): must be left alone.
         import os
 
-        live = type_dir / f"300.jsonl.gz.tmp{os.getpid()}"
+        live = type_dir / f"300.jsonl.gz.tmp{os.getpid()}-{'b' * 32}"
         live.write_bytes(b"in flight")
         archive.dumps()
-        assert not dead.exists()
+        assert not any(path.exists() for path in dead)
         assert live.exists()
         live.unlink()
+
+    def test_dump_bytes_depend_on_records_alone(self, tmp_path):
+        """Two processes writing the same records write the same bytes:
+        the gzip header names no temp file and holds no clock."""
+        spawn = multiprocessing.get_context("spawn")
+        dumps = []
+        for name in ("one", "two"):
+            process = spawn.Process(
+                target=write_one_dump, args=(str(tmp_path / name),)
+            )
+            process.start()
+            process.join(120)
+            assert process.exitcode == 0
+            (path,) = (tmp_path / name).rglob("*.jsonl.gz")
+            dumps.append(path.read_bytes())
+        assert dumps[0] == dumps[1]
 
     def test_record_type_separation(self, tmp_path):
         archive = RecordArchive(tmp_path)
