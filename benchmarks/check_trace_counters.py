@@ -1,7 +1,8 @@
 """Counter-based bench regression gate.
 
 Runs small, fully deterministic ``repro trend`` sweeps (plain,
-store-backed, parallel and world-checkpointed) and ``repro converge``
+store-backed, parallel, world-checkpointed and resumed from a partial
+run's cache) and ``repro converge``
 scenarios with ``--trace``, rolls the traces' *counters* up into
 ``BENCH_smoke.json`` and compares them against the committed
 expectations in ``trace_expectations.json``.
@@ -56,6 +57,10 @@ STORE_DIR_TOKEN = "{STORE_DIR}"
 #: counter (idempotent writes skip existing files) stays exact.
 WORLD_DIR_TOKEN = "{WORLD_DIR}"
 
+#: Same, for ``--cache-dir``: wiped each run so only the scenario's own
+#: partial run has filled the cache.
+CACHE_DIR_TOKEN = "{CACHE_DIR}"
+
 #: The convergence smoke: the same tiny world run through the
 #: discrete-event engine, once per gated scenario class.  Event,
 #: message, and update-record counts are exact functions of the seed,
@@ -84,10 +89,21 @@ SCENARIOS: Dict[str, List[str]] = {
     "trend-worldckpt": BASE_ARGS + ["--last-year", "2005",
                                     "--world-checkpoint-dir",
                                     WORLD_DIR_TOKEN],
+    # Resume: the traced 2004-2006 sweep runs on the cache a killed
+    # 2004-2005 sweep left (see PRE_RUNS), so two quarters are cache
+    # hits and one is computed; engine.records still counts all three.
+    "trend-resume": BASE_ARGS + ["--last-year", "2006", "--no-stability",
+                                 "--cache-dir", CACHE_DIR_TOKEN],
     "converge-flap": CONVERGE_ARGS + ["--scenario", "flap-storm",
                                       "--snapshot-at", "120"],
     "converge-leak": CONVERGE_ARGS + ["--scenario", "leak"],
     "converge-failover": CONVERGE_ARGS + ["--scenario", "failover"],
+}
+
+#: Untraced runs made before a scenario's traced one, on its directories.
+PRE_RUNS: Dict[str, List[str]] = {
+    "trend-resume": BASE_ARGS + ["--last-year", "2005", "--no-stability",
+                                 "--cache-dir", CACHE_DIR_TOKEN],
 }
 
 #: Only counters are gated; every one is an exact count, never a timing.
@@ -111,15 +127,20 @@ def run_scenarios(output_dir: Path) -> Dict[str, Dict[str, int]]:
     collected: Dict[str, Dict[str, int]] = {}
     for name, cli_args in SCENARIOS.items():
         trace_path = output_dir / f"trace_{name}.jsonl"
+        directories = {}
         for token, prefix in ((STORE_DIR_TOKEN, "store"),
-                              (WORLD_DIR_TOKEN, "world")):
+                              (WORLD_DIR_TOKEN, "world"),
+                              (CACHE_DIR_TOKEN, "cache")):
             if token in cli_args:
                 target = output_dir / f"{prefix}_{name}"
                 shutil.rmtree(target, ignore_errors=True)
-                cli_args = [
-                    str(target) if arg == token else arg
-                    for arg in cli_args
-                ]
+                directories[token] = str(target)
+        if name in PRE_RUNS:
+            pre_args = [directories.get(arg, arg) for arg in PRE_RUNS[name]]
+            code = repro_main(pre_args)
+            if code != 0:
+                raise SystemExit(f"scenario {name!r} pre-run exited with {code}")
+        cli_args = [directories.get(arg, arg) for arg in cli_args]
         code = repro_main(cli_args + ["--trace", str(trace_path)])
         if code != 0:
             raise SystemExit(f"scenario {name!r} exited with {code}")

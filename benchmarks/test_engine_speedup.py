@@ -13,8 +13,9 @@ import time
 from benchmarks.conftest import emit
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import build_jobs, clear_worker_state
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import ExecutionEngine
+from repro.obs import Tracer, use_tracer
 from repro.topology.evolution import WorldParams
 from repro.util.dates import utc_timestamp
 
@@ -45,12 +46,13 @@ def sweep_jobs():
 
 def timed_run(workers, cache=None):
     clear_worker_state()
-    metrics = EngineMetrics()
-    engine = ExecutionEngine(jobs=workers, cache=cache, metrics=metrics)
+    tracer = Tracer()
+    engine = ExecutionEngine(jobs=workers, cache=cache)
     started = time.perf_counter()
-    results = engine.run(sweep_jobs())
+    with use_tracer(tracer):
+        results = engine.run(sweep_jobs())
     elapsed = time.perf_counter() - started
-    return results, elapsed, metrics.summary()
+    return results, elapsed, sweep_summary(tracer)
 
 
 def test_engine_speedup(tmp_path):

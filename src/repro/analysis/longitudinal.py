@@ -150,9 +150,10 @@ class LongitudinalStudy:
         they require a pristine simulator: the cadence they replay
         starts at the simulator's birth instant.  With ``store_dir``
         set, workers persist per-job parts as they compute and the
-        sweep ends by merging them into the final store — cached or
-        checkpointed jobs whose part is missing are recomputed by the
-        scheduler, so the merge never lacks columns.
+        sweep ends by merging them into the final store — a cached job
+        whose part is missing (say, from a killed sweep resumed through
+        the engine's cache) is recomputed by the scheduler, so the
+        merge never lacks columns.
         """
         from repro.engine.jobs import build_jobs
 

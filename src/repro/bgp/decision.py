@@ -83,17 +83,6 @@ def best_route(
     if len(leading) == 1:
         return leading[0]
 
-    def med_key(route: CandidateRoute) -> Tuple:
-        first_as = route.attributes.as_path.peer
-        med = route.attributes.med
-        if not always_compare_med:
-            # Group by first AS in the path; MED only orders within a
-            # group, so make it secondary to the group identity being
-            # equal.  Implemented by comparing (first_as, med) pairs only
-            # when first_as matches the leader's.
-            return (med if first_as == leading[0].attributes.as_path.peer else 0,)
-        return (med,)
-
     if always_compare_med:
         leading.sort(key=lambda route: (route.attributes.med, route.neighbor_asn))
         return leading[0]

@@ -41,9 +41,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.analysis.longitudinal import (
     LongitudinalStudy,
@@ -53,14 +54,15 @@ from repro.core.formation import formation_distances
 from repro.core.pipeline import compute_policy_atoms
 from repro.core.statistics import general_stats
 from repro.engine.cache import ResultCache
-from repro.engine.checkpoint import CheckpointLog, StreamCheckpointError
+from repro.engine.checkpoint import StreamCheckpointError
 from repro.engine.jobs import SnapshotJob
-from repro.engine.metrics import progress_hook
+from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import ExecutionEngine
 from repro.net.prefix import AF_INET, AF_INET6
 from repro.obs import (
     Tracer,
     counter_rows,
+    get_tracer,
     load_trace,
     profile_rows,
     use_tracer,
@@ -127,8 +129,7 @@ def _non_negative_float(value: str) -> float:
     return number
 
 
-def _add_engine_options(parser: argparse.ArgumentParser,
-                        with_checkpoint: bool = False) -> None:
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (default: 1, serial)")
     parser.add_argument("--batch", type=_positive_int, default=1,
@@ -140,7 +141,8 @@ def _add_engine_options(parser: argparse.ArgumentParser,
                              "summary on stderr")
     parser.add_argument("--cache-dir", type=Path, default=None, dest="cache_dir",
                         help="content-addressed result cache directory "
-                             "(repeat runs skip recomputation)")
+                             "(repeat runs skip recomputation; a killed "
+                             "sweep resumes from its finished quarters)")
     parser.add_argument("--trace", type=Path, default=None,
                         help="write a JSONL span/counter trace of the run "
                              "to this file (see docs/observability.md); "
@@ -151,10 +153,6 @@ def _add_engine_options(parser: argparse.ArgumentParser,
                              "freshly forked workers resume from the "
                              "nearest checkpoint instead of replaying "
                              "the world from birth")
-    if with_checkpoint:
-        parser.add_argument("--checkpoint", type=Path, default=None,
-                            help="completion log; a killed sweep resumes "
-                                 "from the last finished quarter")
 
 
 def _add_trend_range_options(parser: argparse.ArgumentParser) -> None:
@@ -169,16 +167,41 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
     """An :class:`ExecutionEngine` configured from the CLI flags."""
     return ExecutionEngine(
         jobs=args.jobs,
-        batch=args.batch,
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-        checkpoint=(
-            CheckpointLog(args.checkpoint)
-            if getattr(args, "checkpoint", None)
-            else None
-        ),
-        hooks=(progress_hook(sys.stderr),) if args.progress else (),
+        progress=sys.stderr if args.progress else None,
+        batch=args.batch,
         world_checkpoint_dir=args.world_checkpoint_dir,
     )
+
+
+def _render_sweep_summary(s: Dict[str, Any]) -> str:
+    """The one-line ``--progress`` summary of a sweep."""
+    return (
+        f"{s['jobs']} jobs: {s['computed']} computed, "
+        f"{s['cache_hits']} cache hits ({s['hit_rate']:.0%} reuse) | "
+        f"{s['records']:,} records | "
+        f"wall {s['wall_seconds']:.2f}s, busy {s['busy_seconds']:.2f}s, "
+        f"{s['workers']} worker(s) at {s['worker_utilization']:.0%}"
+    )
+
+
+@contextmanager
+def _progress_summary(args: argparse.Namespace) -> Iterator[None]:
+    """Print the ``--progress`` summary line after the enclosed sweep.
+
+    The figures are read from the tracer's engine spans and counters:
+    the ``--trace`` tracer when there is one, else a private tracer
+    that is never exported.
+    """
+    if not args.progress:
+        yield
+        return
+    tracer = get_tracer()
+    if not isinstance(tracer, Tracer):
+        tracer = Tracer()
+    with use_tracer(tracer):
+        yield
+    print(_render_sweep_summary(sweep_summary(tracer)), file=sys.stderr)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -265,7 +288,6 @@ def cmd_atoms(args: argparse.Namespace) -> int:
 
     params = _world_params(args)
     stamp = parse_utc(args.start)
-    engine = _build_engine(args)
     job = SnapshotJob(
         params=params,
         start=stamp,
@@ -274,15 +296,14 @@ def cmd_atoms(args: argparse.Namespace) -> int:
         family=family,
         label=f"atoms@{args.start}",
     )
-    quarter = engine.run([job])[0]
-    _print_atom_report(
-        f"simulation @ {args.start}",
-        quarter.report,
-        quarter.stats.rows(),
-        quarter.formation_shares if args.formation else None,
-    )
-    if args.progress:
-        print(engine.metrics.render(), file=sys.stderr)
+    with _progress_summary(args):
+        quarter = _build_engine(args).run([job])[0]
+        _print_atom_report(
+            f"simulation @ {args.start}",
+            quarter.report,
+            quarter.stats.rows(),
+            quarter.formation_shares if args.formation else None,
+        )
     return 0
 
 
@@ -315,41 +336,37 @@ def _run_trend_sweep(args: argparse.Namespace):
     family = AF_INET if args.family == 4 else AF_INET6
     years = list(range(args.first_year, args.last_year + 1, args.step))
     internet = SimulatedInternet(params, start=f"{years[0]}-01-01")
-    engine = _build_engine(args)
     study = LongitudinalStudy(
         internet,
         family=family,
-        engine=engine,
+        engine=_build_engine(args),
         store_dir=getattr(args, "store_dir", None),
     )
-    results = study.run_years(years, with_stability=not args.no_stability)
-    return results, engine
+    return study.run_years(years, with_stability=not args.no_stability)
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
     """Handle ``repro trend``."""
-    results, engine = _run_trend_sweep(args)
-    print(_render_trend_table(results))
-    if args.store_dir:
-        with AtomStore(args.store_dir, verify=False) as store:
-            print(f"store: {args.store_dir} ({len(store.snapshots())} "
-                  f"snapshots, {store.total_bytes():,} segment bytes)")
-    if args.progress:
-        print(engine.metrics.render(), file=sys.stderr)
+    with _progress_summary(args):
+        results = _run_trend_sweep(args)
+        print(_render_trend_table(results))
+        if args.store_dir:
+            with AtomStore(args.store_dir, verify=False) as store:
+                print(f"store: {args.store_dir} ({len(store.snapshots())} "
+                      f"snapshots, {store.total_bytes():,} segment bytes)")
     return 0
 
 
 def cmd_store_build(args: argparse.Namespace) -> int:
     """Handle ``repro store build``: run a sweep, persist the store."""
-    results, engine = _run_trend_sweep(args)
-    with AtomStore(args.store_dir, verify=False) as store:
-        entries = store.snapshots()
-        print(f"built atom store at {args.store_dir}")
-        print(f"  snapshots: {len(entries)} across {len(results)} quarter(s)")
-        print(f"  segment bytes: {store.total_bytes():,}")
-        print(f"  interned paths: {store.pool_options.get('path_count', 0):,}")
-    if args.progress:
-        print(engine.metrics.render(), file=sys.stderr)
+    with _progress_summary(args):
+        results = _run_trend_sweep(args)
+        with AtomStore(args.store_dir, verify=False) as store:
+            entries = store.snapshots()
+            print(f"built atom store at {args.store_dir}")
+            print(f"  snapshots: {len(entries)} across {len(results)} quarter(s)")
+            print(f"  segment bytes: {store.total_bytes():,}")
+            print(f"  interned paths: {store.pool_options.get('path_count', 0):,}")
     return 0
 
 
@@ -639,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trend", help="run a quick longitudinal sweep"
     )
     _add_world_options(trend)
-    _add_engine_options(trend, with_checkpoint=True)
+    _add_engine_options(trend)
     _add_trend_range_options(trend)
     trend.add_argument("--store-dir", type=Path, default=None, dest="store_dir",
                        help="persist the sweep as a memory-mapped columnar "
@@ -658,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("store_dir", type=Path,
                        help="directory the store is written to")
     _add_world_options(build)
-    _add_engine_options(build, with_checkpoint=True)
+    _add_engine_options(build)
     _add_trend_range_options(build)
     build.set_defaults(handler=cmd_store_build)
 

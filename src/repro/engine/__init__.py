@@ -7,18 +7,19 @@ content-addressed jobs:
   the persistable :class:`QuarterResult` summary;
 * :mod:`repro.engine.scheduler` — :class:`ExecutionEngine`, fanning
   jobs across a process pool with deterministic result ordering;
-* :mod:`repro.engine.cache` — the on-disk content-addressed cache;
-* :mod:`repro.engine.checkpoint` — crash-safe sweep resume, the live
-  pipeline's window-boundary :class:`StreamCheckpoint`, and the
-  world-lineage :class:`WorldCheckpoint` snapshots;
-* :mod:`repro.engine.metrics` — structured instrumentation hooks.
+* :mod:`repro.engine.cache` — the on-disk content-addressed cache,
+  which is also how a killed sweep resumes;
+* :mod:`repro.engine.checkpoint` — the live pipeline's window-boundary
+  :class:`StreamCheckpoint` and the world-lineage
+  :class:`WorldCheckpoint` snapshots;
+* :mod:`repro.engine.metrics` — the sweep summary, read from the
+  tracer's engine spans and counters.
 
 See ``docs/engine.md`` for the architecture and the cache-key scheme.
 """
 
 from repro.engine.cache import CACHE_SALT, ResultCache, job_digest
 from repro.engine.checkpoint import (
-    CheckpointLog,
     StreamCheckpoint,
     StreamCheckpointError,
     WorldCheckpoint,
@@ -32,16 +33,13 @@ from repro.engine.jobs import (
     execute_snapshot_job,
     suite_times,
 )
-from repro.engine.metrics import EngineMetrics, JobMetric, progress_hook
+from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import EngineError, ExecutionEngine
 
 __all__ = [
     "CACHE_SALT",
-    "CheckpointLog",
     "EngineError",
-    "EngineMetrics",
     "ExecutionEngine",
-    "JobMetric",
     "QuarterResult",
     "ResultCache",
     "SnapshotJob",
@@ -53,6 +51,6 @@ __all__ = [
     "execute_snapshot_batch",
     "execute_snapshot_job",
     "job_digest",
-    "progress_hook",
     "suite_times",
+    "sweep_summary",
 ]

@@ -8,10 +8,19 @@ guaranteed to compute the same :class:`QuarterResult` (the simulator is
 deterministic in exactly those inputs), so repeated sweeps can skip
 recomputation entirely.
 
-Entries are one JSON file each under ``<root>/<aa>/<digest>.json``,
-written with :func:`~repro.util.durable.atomic_file`; opening a cache
-sweeps dead writers' temp files.  A corrupted or version-skewed entry
-is treated as a miss, deleted, and recomputed — never crashed on.
+The cache is also how a killed sweep resumes: every finished job is
+put the moment it completes, so a rerun answers those jobs from disk
+and computes only the rest.
+
+Entries are one JSON file each under ``<root>/<aa>/<digest>.json``:
+``{"key", "digest", "result"}``, where ``digest`` is the SHA-256 of
+the result payload's JSON.  Each is written with
+:func:`~repro.util.durable.atomic_file` and fsynced before its rename;
+opening a cache sweeps dead writers' temp files.  A read returns the
+stored result or a miss: an entry that is not an object, names another
+key, has no result object or fails its digest (a torn write, bit rot,
+an entry written before digests) is deleted and recomputed — never
+crashed on, never taken for a different result.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.engine.jobs import (
     QuarterResult,
@@ -82,6 +91,16 @@ def job_digest(job: SnapshotJob, salt: str = CACHE_SALT) -> str:
     return content_digest({"spec": job.spec()}, salt=salt)
 
 
+def _payload_digest(payload: Dict[str, Any]) -> str:
+    """SHA-256 of a result payload's JSON, as a cache entry stores it.
+
+    JSON keeps key order and round-trips every float, so a payload
+    read back from an intact entry encodes to the very same text.
+    """
+    encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
 class ResultCache:
     """Persist job results on disk, keyed by :func:`job_digest`."""
 
@@ -94,18 +113,23 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[QuarterResult]:
-        """The cached result, or None on miss *or* corruption."""
+        """The cached result, or None on a miss or a damaged entry."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("key") != key:
-                raise ValueError("cache entry key mismatch")
-            return result_from_payload(payload["result"])
+                entry = json.load(handle)
+            if not isinstance(entry, dict) or entry.get("key") != key:
+                raise ValueError("cache entry names another key")
+            payload = entry.get("result")
+            if not isinstance(payload, dict):
+                raise ValueError("cache entry holds no result")
+            if entry.get("digest") != _payload_digest(payload):
+                raise ValueError("cache entry fails its digest")
+            return result_from_payload(payload)
         except FileNotFoundError:
             return None
         except (ValueError, KeyError, TypeError, OSError):
-            # Truncated write, stale format, bit rot: discard and recompute.
+            # Torn write, stale format, bit rot: discard and recompute.
             try:
                 path.unlink()
             except OSError:
@@ -113,13 +137,24 @@ class ResultCache:
             return None
 
     def put(self, key: str, result: QuarterResult) -> Path:
-        """Atomically persist one result."""
+        """Atomically and durably persist one result.
+
+        The temp is flushed and fsynced before its rename, so the bytes
+        are on disk by the time the entry appears under its name.
+        """
         path = self._path(key)
-        payload = {"key": key, "result": result_to_payload(result)}
+        payload = result_to_payload(result)
+        entry = {
+            "key": key,
+            "digest": _payload_digest(payload),
+            "result": payload,
+        }
         with atomic_file(path) as handle:
             handle.write(
-                json.dumps(payload, separators=(",", ":")).encode("utf-8")
+                json.dumps(entry, separators=(",", ":")).encode("utf-8")
             )
+            handle.flush()
+            os.fsync(handle.fileno())
         return path
 
     def __contains__(self, key: str) -> bool:

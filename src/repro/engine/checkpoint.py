@@ -1,21 +1,16 @@
-"""Checkpoint/resume for long sweeps and live streams.
+"""Checkpoints: the live pipeline's cursor and world-lineage snapshots.
 
-A :class:`CheckpointLog` is an append-only JSONL file: one line per
-completed job, ``{"key": <digest>, "label": ..., "result": {...}}``.
-The scheduler appends (and flushes) a line the moment a job finishes,
-so a killed multi-year sweep loses at most the jobs in flight.  On the
-next run the engine loads the log, restores every completed quarter
-without recomputation, and continues from the first missing one.
+:class:`StreamCheckpoint` is the live pipeline's resume point
+(:mod:`repro.stream.live`): it replaces one small *state* — the replay
+cursor at the last window boundary — atomically on every save.  It
+holds no routing table: a pipeline killed at any instant resumes by
+re-applying the stream's records up to the cursor, which rebuilds the
+boundary RIB exactly.
 
-A truncated final line — the signature of a hard kill mid-write — is
-silently dropped on load; everything before it is preserved.
-
-:class:`StreamCheckpoint` is the live pipeline's counterpart
-(:mod:`repro.stream.live`): instead of appending completed jobs it
-replaces one small *state* — the replay cursor at the last window
-boundary — atomically on every save.  It holds no routing table: a
-pipeline killed at any instant resumes by re-applying the stream's
-records up to the cursor, which rebuilds the boundary RIB exactly.
+:class:`WorldCheckpoint` persists simulated world states so a freshly
+forked sweep worker restores the nearest one instead of replaying its
+world from birth.  A killed sweep resumes through the result cache
+(:class:`repro.engine.cache.ResultCache`), not through this module.
 """
 
 from __future__ import annotations
@@ -30,60 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.jobs import (
-    QuarterResult,
-    result_from_payload,
-    result_to_payload,
-)
 from repro.util.durable import atomic_file, sweep_stale_tmp
-
-
-class CheckpointLog:
-    """Append-only completion log keyed by job digest."""
-
-    def __init__(self, path: os.PathLike):
-        self.path = Path(path)
-
-    def load(self) -> Dict[str, QuarterResult]:
-        """{job digest: result} for every intact line of the log."""
-        restored: Dict[str, QuarterResult] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        restored[entry["key"]] = result_from_payload(
-                            entry["result"]
-                        )
-                    except (ValueError, KeyError, TypeError):
-                        # Torn write at the kill instant; keep the rest.
-                        continue
-        except FileNotFoundError:
-            pass
-        return restored
-
-    def record(self, key: str, result: QuarterResult) -> None:
-        """Append one completed job, durably."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": key,
-            "label": result.label,
-            "result": result_to_payload(result),
-        }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def clear(self) -> None:
-        """Forget all completed jobs (e.g. after a finished sweep)."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +156,6 @@ WORLD_CHECKPOINT_VERSION = 1
 #: the gzip blob and the blob itself.
 WORLD_HEADER = struct.Struct(">4sH")
 
-#: Default save cadence: every N applied ``advance_to`` instants (one
-#: quarter's stability suite is four instants).
-DEFAULT_WORLD_STRIDE = 4
-
 
 class WorldCheckpoint:
     """Persisted world states, keyed by (params, birth, cadence) lineage.
@@ -244,11 +182,8 @@ class WorldCheckpoint:
     (:meth:`~repro.engine.scheduler.ExecutionEngine.run`).
     """
 
-    def __init__(
-        self, directory: os.PathLike, stride: int = DEFAULT_WORLD_STRIDE
-    ):
+    def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
-        self.stride = max(1, int(stride))
 
     # -- naming ---------------------------------------------------------
 

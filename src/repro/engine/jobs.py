@@ -233,9 +233,7 @@ def _world_for(job: SnapshotJob):
     if job.world_checkpoint_dir is not None and job.warmup:
         from repro.engine.checkpoint import WorldCheckpoint
 
-        checkpoint = WorldCheckpoint(
-            job.world_checkpoint_dir, job.world_checkpoint_stride
-        )
+        checkpoint = WorldCheckpoint(job.world_checkpoint_dir)
         restored = checkpoint.restore(job.params, job.start, job.warmup)
         tracer = get_tracer()
         if restored is not None:
@@ -266,7 +264,7 @@ def _maybe_checkpoint_world(job: SnapshotJob, internet, applied) -> None:
     stride = max(1, job.world_checkpoint_stride)
     if len(applied) % stride:
         return
-    checkpoint = WorldCheckpoint(job.world_checkpoint_dir, stride)
+    checkpoint = WorldCheckpoint(job.world_checkpoint_dir)
     try:
         path = checkpoint.save(internet, applied)
     except OSError:  # pragma: no cover - disk trouble

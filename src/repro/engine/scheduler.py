@@ -21,13 +21,14 @@ mutates the world — each job carries its full cadence, so any process
 can reproduce the exact world state the serial walk would have had.
 
 Layered on top: the content-addressed :class:`ResultCache` (skip
-recomputation across runs), the :class:`CheckpointLog` (resume a killed
-sweep), instrumentation hooks (:mod:`repro.engine.metrics`), and
-world-lineage checkpoints (``world_checkpoint_dir`` lets freshly
-forked workers resume world evolution from the nearest saved prefix
-instead of replaying from birth —
-:class:`repro.engine.checkpoint.WorldCheckpoint`).  Worker results
-cross the pool boundary as their JSON payload dicts
+recomputation across runs, and so resume a killed sweep), the tracer
+(every sweep and job is a span, summed by
+:func:`repro.engine.metrics.sweep_summary`), an optional ``progress``
+stream narrating each job, and world-lineage checkpoints
+(``world_checkpoint_dir`` lets freshly forked workers resume world
+evolution from the nearest saved prefix instead of replaying from
+birth — :class:`repro.engine.checkpoint.WorldCheckpoint`).  Worker
+results cross the pool boundary as their JSON payload dicts
 (:func:`~repro.engine.jobs.result_to_payload`), the same form the
 cache persists.
 """
@@ -38,10 +39,9 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from repro.engine.cache import ResultCache, job_digest
-from repro.engine.checkpoint import CheckpointLog
 from repro.engine.jobs import (
     QuarterResult,
     SnapshotJob,
@@ -49,13 +49,7 @@ from repro.engine.jobs import (
     execute_snapshot_job,
     result_from_payload,
 )
-from repro.engine.metrics import (
-    SOURCE_CACHE,
-    SOURCE_CHECKPOINT,
-    SOURCE_COMPUTED,
-    EngineMetrics,
-    Hook,
-)
+from repro.engine.metrics import SOURCE_CACHE, SOURCE_COMPUTED
 from repro.obs import get_tracer
 from repro.store.writer import part_complete
 from repro.util.durable import sweep_stale_tmp
@@ -72,70 +66,49 @@ class ExecutionEngine:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        checkpoint: Optional[CheckpointLog] = None,
-        hooks: Sequence[Hook] = (),
-        metrics: Optional[EngineMetrics] = None,
+        progress: Optional[TextIO] = None,
         batch: int = 1,
         world_checkpoint_dir: Optional[os.PathLike] = None,
-        world_checkpoint_stride: int = 4,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if batch < 1:
             raise ValueError("batch must be >= 1")
         self.jobs = jobs
+        self.cache = cache
+        #: text stream the sweep is narrated to, one ``[engine]`` line
+        #: per job (None: silent)
+        self.progress = progress
         #: jobs per pool task on the parallel path; >1 amortizes task
         #: pickling/IPC over chronological chunks (serial runs ignore it)
         self.batch = batch
         #: world-lineage checkpoint directory stamped onto every job
         #: that does not already carry one (repro.engine.checkpoint)
         self.world_checkpoint_dir = world_checkpoint_dir
-        self.world_checkpoint_stride = world_checkpoint_stride
-        self.cache = cache
-        self.checkpoint = checkpoint
-        self.metrics = metrics if metrics is not None else EngineMetrics()
-        self._hooks: List[Hook] = [self.metrics, *hooks]
 
     # ------------------------------------------------------------------
 
-    def _emit(self, event: str, payload: Dict[str, Any]) -> None:
-        for hook in self._hooks:
-            hook(event, payload)
+    def _narrate(self, line: str) -> None:
+        if self.progress is not None:
+            print(f"[engine] {line}", file=self.progress)
 
     def _finish(
         self,
-        index: int,
         job: SnapshotJob,
         key: str,
         result: QuarterResult,
         source: str,
         seconds: float = 0.0,
-        worker: Optional[int] = None,
     ) -> None:
-        if source == SOURCE_COMPUTED:
-            if self.cache is not None:
-                self.cache.put(key, result)
-            if self.checkpoint is not None:
-                self.checkpoint.record(key, result)
-        elif source == SOURCE_CACHE and self.checkpoint is not None:
-            # Mirror cache hits into the checkpoint so a resume works
-            # even if the cache is cleared between runs.
-            self.checkpoint.record(key, result)
+        if source == SOURCE_COMPUTED and self.cache is not None:
+            self.cache.put(key, result)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.count(f"engine.jobs.{source}")
             tracer.count("engine.records", result.record_count)
-        self._emit(
-            "job_done",
-            {
-                "index": index,
-                "label": job.label,
-                "key": key,
-                "source": source,
-                "seconds": seconds,
-                "records": result.record_count,
-                "worker": worker,
-            },
+        self._narrate(
+            f"{job.label}: {source} "
+            f"({seconds:.2f}s, {result.record_count:,} records)"
         )
 
     # ------------------------------------------------------------------
@@ -154,9 +127,7 @@ class ExecutionEngine:
                 job
                 if job.world_checkpoint_dir is not None
                 else replace(
-                    job,
-                    world_checkpoint_dir=str(self.world_checkpoint_dir),
-                    world_checkpoint_stride=self.world_checkpoint_stride,
+                    job, world_checkpoint_dir=str(self.world_checkpoint_dir)
                 )
                 for job in snapshot_jobs
             ]
@@ -166,20 +137,10 @@ class ExecutionEngine:
         with tracer.span(
             "engine-sweep", jobs=len(snapshot_jobs), workers=self.jobs
         ):
-            self._emit(
-                "sweep_start",
-                {
-                    "jobs": len(snapshot_jobs),
-                    "workers": self.jobs,
-                    "batch": self.batch,
-                },
+            self._narrate(
+                f"{len(snapshot_jobs)} job(s) on {self.jobs} worker(s)"
             )
-
             results: List[Optional[QuarterResult]] = [None] * len(snapshot_jobs)
-            restored = (
-                self.checkpoint.load() if self.checkpoint is not None else {}
-            )
-
             pending: List[int] = []
             for index, (job, key) in enumerate(zip(snapshot_jobs, keys)):
                 if job.store_dir is not None and not part_complete(
@@ -191,27 +152,15 @@ class ExecutionEngine:
                     # value-identical either way.
                     pending.append(index)
                     continue
-                if key in restored:
-                    results[index] = restored[key]
-                    tracer.record_span(
-                        "engine-job", 0.0, label=job.label,
-                        source=SOURCE_CHECKPOINT,
-                    )
-                    self._finish(
-                        index, job, key, restored[key], SOURCE_CHECKPOINT
-                    )
+                hit = self.cache.get(key) if self.cache is not None else None
+                if hit is None:
+                    pending.append(index)
                     continue
-                if self.cache is not None:
-                    hit = self.cache.get(key)
-                    if hit is not None:
-                        results[index] = hit
-                        tracer.record_span(
-                            "engine-job", 0.0, label=job.label,
-                            source=SOURCE_CACHE,
-                        )
-                        self._finish(index, job, key, hit, SOURCE_CACHE)
-                        continue
-                pending.append(index)
+                results[index] = hit
+                tracer.record_span(
+                    "engine-job", 0.0, label=job.label, source=SOURCE_CACHE
+                )
+                self._finish(job, key, hit, SOURCE_CACHE)
 
             if pending:
                 if self.jobs == 1:
@@ -226,22 +175,20 @@ class ExecutionEngine:
             ]
             if missing:
                 # Never hand back fewer results than jobs: a silent gap
-                # (incomplete checkpoint restore, a worker that produced
-                # nothing) would skew every downstream trend series.
+                # (a worker that produced nothing) would skew every
+                # downstream trend series.
                 raise EngineError(
                     f"sweep produced no result for {len(missing)} of "
                     f"{len(snapshot_jobs)} job(s): {', '.join(missing)}"
                 )
-            self._emit("sweep_done", {"seconds": time.perf_counter() - started})
+            self._narrate(
+                f"sweep done in {time.perf_counter() - started:.2f}s"
+            )
         return [result for result in results if result is not None]
 
     def _run_serial(self, jobs, keys, results, pending) -> None:
         tracer = get_tracer()
         for index in pending:
-            self._emit(
-                "job_start",
-                {"index": index, "label": jobs[index].label, "key": keys[index]},
-            )
             job_started = time.perf_counter()
             # A real (not record_span) span, so the per-stage spans of
             # the in-process computation nest beneath the job.
@@ -252,13 +199,11 @@ class ExecutionEngine:
                 span.set(records=result.record_count)
             results[index] = result
             self._finish(
-                index,
                 jobs[index],
                 keys[index],
                 result,
                 SOURCE_COMPUTED,
                 seconds=time.perf_counter() - job_started,
-                worker=os.getpid(),
             )
 
     def _run_parallel(self, jobs, keys, results, pending) -> None:
@@ -272,15 +217,6 @@ class ExecutionEngine:
             futures: Dict[Any, List[int]] = {}
             for chunk_start in range(0, len(pending), self.batch):
                 chunk = pending[chunk_start:chunk_start + self.batch]
-                for index in chunk:
-                    self._emit(
-                        "job_start",
-                        {
-                            "index": index,
-                            "label": jobs[index].label,
-                            "key": keys[index],
-                        },
-                    )
                 future = pool.submit(
                     execute_snapshot_batch, [jobs[index] for index in chunk]
                 )
@@ -307,11 +243,9 @@ class ExecutionEngine:
                             worker=worker,
                         )
                         self._finish(
-                            index,
                             jobs[index],
                             keys[index],
                             result,
                             SOURCE_COMPUTED,
                             seconds=item["seconds"],
-                            worker=worker,
                         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.net.aspath import ASPath, PathSegment, SegmentType
 from repro.net.prefix import Prefix
@@ -239,8 +239,3 @@ def peer_id_from_json(item) -> tuple:
         return (str(collector), int(asn), str(address))
     except (TypeError, ValueError) as error:
         raise StoreError(f"invalid vantage point in manifest: {error}") from None
-
-
-def optional_path_key(path: Optional[ASPath]) -> Optional[str]:
-    """Render a path vector slot for manifests/CLI (None stays None)."""
-    return None if path is None else str(path)

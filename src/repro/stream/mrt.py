@@ -522,8 +522,8 @@ class MRTWriter:
         self.stream = stream
         self._peer_index: Dict[Tuple[int, str], int] = {}
 
-    def _emit(self, timestamp: int, mrt_type: int, subtype: int,
-              body: bytes) -> None:
+    def _write_record(self, timestamp: int, mrt_type: int, subtype: int,
+                      body: bytes) -> None:
         self.stream.write(_MRT_HEADER.pack(timestamp, mrt_type, subtype,
                                            len(body)))
         self.stream.write(body)
@@ -542,7 +542,8 @@ class MRTWriter:
             body += bytes(int(part) for part in address.split("."))
             body += asn.to_bytes(4, "big")
             self._peer_index[(asn, address)] = index
-        self._emit(timestamp, MRT_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE, bytes(body))
+        self._write_record(timestamp, MRT_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE,
+                           bytes(body))
 
     def write_rib_entry(
         self,
@@ -567,7 +568,7 @@ class MRTWriter:
             TDV2_RIB_IPV4_UNICAST if prefix.family == AF_INET
             else TDV2_RIB_IPV6_UNICAST
         )
-        self._emit(timestamp, MRT_TABLE_DUMP_V2, subtype, bytes(body))
+        self._write_record(timestamp, MRT_TABLE_DUMP_V2, subtype, bytes(body))
 
     def _encode_update_attributes(self, attributes: PathAttributes,
                                   asn_size: int = 4) -> bytes:
@@ -678,4 +679,4 @@ class MRTWriter:
         body += bytes(4)  # local address
         body += message
         subtype = BGP4MP_MESSAGE_AS4 if as4 else BGP4MP_MESSAGE
-        self._emit(timestamp, MRT_BGP4MP, subtype, bytes(body))
+        self._write_record(timestamp, MRT_BGP4MP, subtype, bytes(body))

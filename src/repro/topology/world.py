@@ -597,12 +597,6 @@ class World:
             self._add_provider(asn)
         return self._announce_targets(asn)
 
-    def _transit_above(self, asn: int, rng: random.Random) -> Optional[int]:
-        providers = self.graph.providers(asn)
-        if not providers:
-            return None
-        return rng.choice(providers)
-
     def _global_egress(self, rule_holder: int) -> Tuple[List[int], List[int]]:
         """(globally-propagating egresses, all egresses) of a transit.
 
@@ -848,11 +842,6 @@ class World:
             peer.artifact = artifact
             peer.artifact_start = start
             peer.artifact_end = end
-
-    def artifact_peers(self, when: Optional[int] = None) -> List[PeerSpec]:
-        """Peers whose artifact is active at ``when`` (default: now)."""
-        moment = self.current_time if when is None else when
-        return [p for p in self.layout.peers if p.artifact_active(moment)]
 
     # ------------------------------------------------------------------
     # Time advancement: growth + churn
@@ -1271,11 +1260,6 @@ class World:
             for (fam, asn), policy in self.origin_policies.items()
             if fam == family
         }
-
-    def unit_mechanism(self, family: int, asn: int, unit: PolicyUnit) -> str:
-        """The differentiation mechanism assigned to a unit."""
-        meta = self._unit_meta.get((family, asn, unit.unit_id))
-        return meta.mechanism if meta else MECH_UNIFORM
 
     def total_prefixes(self, family: int) -> int:
         """Prefix count across all origins of a family."""

@@ -6,8 +6,11 @@ into place with ``os.replace`` only on a clean exit, so a reader sees
 the old file or the new one, and no two writers ever share a temp.  A
 writer killed before its rename leaves the temp behind;
 :func:`sweep_stale_tmp` removes the temps whose writer pid is dead.
-Nothing is fsynced: a finished write survives the death of its
-process, not a power loss.
+The writer fsyncs nothing, so a finished write survives the death of
+its process, not a power loss.  The one exception is the result cache,
+the sweep's resume path: :meth:`repro.engine.cache.ResultCache.put`
+flushes and fsyncs its temp inside the ``with`` block, before the
+rename.
 """
 
 from __future__ import annotations

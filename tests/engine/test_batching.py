@@ -10,7 +10,6 @@ silently dropping slots.
 import pytest
 
 from repro.engine.jobs import build_jobs, execute_snapshot_batch
-from repro.engine.metrics import EngineMetrics
 from repro.engine.scheduler import EngineError, ExecutionEngine
 from repro.util.dates import utc_timestamp
 
@@ -44,15 +43,6 @@ class TestBatchedSweep:
             assert item["seconds"] >= 0.0
             assert item["payload"]["label"]
 
-    def test_sweep_start_reports_batch(self):
-        events = []
-        engine = ExecutionEngine(
-            jobs=1, batch=3,
-            hooks=[lambda name, data: events.append((name, data))],
-        )
-        engine.run([])
-        assert ("sweep_start", {"jobs": 0, "workers": 1, "batch": 3}) in events
-
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError):
             ExecutionEngine(batch=0)
@@ -62,7 +52,7 @@ class TestMissingResultGuard:
     def test_dropped_slots_raise_engine_error_with_labels(self, monkeypatch):
         """A sweep that produces nothing must name the missing jobs."""
         jobs = two_quarter_jobs()
-        engine = ExecutionEngine(jobs=1, metrics=EngineMetrics())
+        engine = ExecutionEngine(jobs=1)
         monkeypatch.setattr(
             engine, "_run_serial", lambda *args, **kwargs: None
         )

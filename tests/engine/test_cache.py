@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import random
 import threading
 
+import pytest
 
 from repro.core.sanitize import SanitizationConfig
 from repro.engine.cache import (
@@ -16,11 +18,13 @@ from repro.engine.jobs import (
     SnapshotJob,
     build_jobs,
     execute_snapshot_job,
+    result_to_payload,
     suite_times,
 )
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import ExecutionEngine
 from repro.net.prefix import AF_INET, AF_INET6
+from repro.obs import Tracer, use_tracer
 from repro.util.dates import utc_timestamp
 
 from tests.engine.conftest import ENGINE_WORLD
@@ -241,9 +245,92 @@ class TestResultCache:
         from repro.engine.jobs import clear_worker_state
 
         clear_worker_state()
-        metrics = EngineMetrics()
-        second = ExecutionEngine(jobs=1, cache=cache, metrics=metrics).run(jobs)
-        summary = metrics.summary()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            second = ExecutionEngine(jobs=1, cache=cache).run(jobs)
+        summary = sweep_summary(tracer)
         assert summary["computed"] == 1 and summary["cache_hits"] == 1
         for a, b in zip(first, second):
             assert a.stats == b.stats and a.feed == b.feed
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """One bit flip, byte set or truncation of ``data``."""
+    out = bytearray(data)
+    kind = rng.randrange(3)
+    if kind == 0:
+        out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    elif kind == 1:
+        out[rng.randrange(len(out))] = rng.randrange(256)
+    else:
+        del out[rng.randrange(len(out)) :]
+    return bytes(out)
+
+
+class TestEntryIntegrity:
+    """A read gives the stored result or a miss — never another result,
+    never an exception."""
+
+    @pytest.fixture(scope="class")
+    def computed(self):
+        return execute_snapshot_job(make_job())
+
+    def test_byte_mutations_read_as_the_result_or_a_miss(
+        self, tmp_path, computed
+    ):
+        """1,000 mutants of a real entry (seed 1), each read once."""
+        cache = ResultCache(tmp_path)
+        key = job_digest(make_job())
+        path = cache.put(key, computed)
+        data = path.read_bytes()
+        original = result_to_payload(computed)
+        assert result_to_payload(cache.get(key)) == original
+        rng = random.Random(1)
+        wrong = []
+        for number in range(1000):
+            path.write_bytes(mutate(data, rng))
+            try:
+                got = cache.get(key)
+            except Exception as error:  # noqa: BLE001 - the point of the test
+                wrong.append(f"mutation {number}: {type(error).__name__}")
+                continue
+            if got is not None and result_to_payload(got) != original:
+                wrong.append(f"mutation {number}: a different result")
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[1, 2], 7, "entry", {"result": ["not", "an", "object"]}],
+        ids=["list", "number", "string", "result-list"],
+    )
+    def test_entry_that_is_not_an_object_is_a_miss(self, tmp_path, entry):
+        cache = ResultCache(tmp_path)
+        key = job_digest(make_job())
+        if isinstance(entry, dict):
+            entry = {"key": key, **entry}
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.get(key) is None
+        assert not path.exists()  # deleted, so the job is recomputed
+
+    def test_entry_without_digest_is_a_miss(self, tmp_path, computed):
+        """Entries written before digests miss once and are rewritten."""
+        cache = ResultCache(tmp_path)
+        key = job_digest(make_job())
+        path = cache.put(key, computed)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        del entry["digest"]
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    def test_entry_is_key_digest_and_result(self, tmp_path, computed):
+        cache = ResultCache(tmp_path)
+        key = job_digest(make_job())
+        entry = json.loads(cache.put(key, computed).read_text(encoding="utf-8"))
+        assert list(entry) == ["key", "digest", "result"]
+        assert entry["key"] == key
+        assert entry["result"] == json.loads(
+            json.dumps(result_to_payload(computed))
+        )

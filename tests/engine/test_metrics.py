@@ -1,32 +1,37 @@
-"""EngineMetrics aggregation math.
+"""The sweep summary read from a tracer.
 
-Regression focus: cache and checkpoint hits arrive as zero-second
-``job_done`` events; they must not count as worker time, or the
-busy-seconds, per-job mean and per-worker averages all deflate toward
-zero on warm-cache sweeps.
+Regression focus: cache hits are recorded as zero-second ``engine-job``
+spans; they must not count as worker time, or busy seconds and worker
+utilization deflate toward zero on warm-cache sweeps.
 """
 
 import pytest
 
-from repro.engine.metrics import (
-    SOURCE_CACHE,
-    SOURCE_CHECKPOINT,
-    SOURCE_COMPUTED,
-    EngineMetrics,
-)
+from repro.engine.metrics import SOURCE_CACHE, SOURCE_COMPUTED, sweep_summary
+from repro.obs import Tracer
 
 
-def feed(metrics, done_events, workers=2):
-    metrics("sweep_start", {"jobs": len(done_events), "workers": workers})
-    for index, payload in enumerate(done_events):
-        metrics("job_done", {"index": index, "label": f"j{index}",
-                             "key": f"k{index}", **payload})
-    metrics("sweep_done", {"seconds": 0.0})
+def feed(jobs, workers=2, wall=3.0, records=10):
+    """A tracer holding one sweep of ``wall`` seconds over ``jobs``.
+
+    Each job is a ``(source, seconds)`` pair, recorded the way the
+    scheduler records it: an ``engine-job`` span under the sweep plus
+    its ``engine.jobs.<source>`` and ``engine.records`` counts.
+    """
+    tracer = Tracer()
+    for source, seconds in jobs:
+        tracer.record_span("engine-job", seconds, source=source)
+        tracer.count(f"engine.jobs.{source}")
+        tracer.count("engine.records", records)
+    tracer.record_span("engine-sweep", wall, jobs=len(jobs), workers=workers)
+    return tracer
 
 
-def computed(seconds, worker, records=10):
-    return {"source": SOURCE_COMPUTED, "seconds": seconds,
-            "worker": worker, "records": records}
+def computed(seconds):
+    return (SOURCE_COMPUTED, seconds)
+
+
+HIT = (SOURCE_CACHE, 0.0)
 
 
 class TestSummaryExcludesNonComputedJobs:
@@ -34,95 +39,45 @@ class TestSummaryExcludesNonComputedJobs:
 
     @pytest.fixture
     def mixed(self):
-        metrics = EngineMetrics()
-        feed(metrics, [
-            computed(2.0, worker=111),
-            computed(4.0, worker=222),
-            {"source": SOURCE_CACHE, "seconds": 0.0, "records": 10},
-            {"source": SOURCE_CHECKPOINT, "seconds": 0.0, "records": 10},
-        ])
-        metrics.wall_seconds = 3.0  # pin wall time for determinism
-        return metrics
+        return sweep_summary(feed([computed(2.0), computed(4.0), HIT]))
 
     def test_busy_seconds_counts_computed_only(self, mixed):
-        assert mixed.summary()["busy_seconds"] == pytest.approx(6.0)
-
-    def test_mean_job_seconds_divides_by_computed_count(self, mixed):
-        # 6.0s over 2 computed jobs — NOT over 4 recorded jobs (1.5).
-        assert mixed.summary()["mean_job_seconds"] == pytest.approx(3.0)
+        assert mixed["busy_seconds"] == pytest.approx(6.0)
 
     def test_utilization_uses_computed_busy_time(self, mixed):
         # 6.0 busy / (3.0 wall * 2 workers) = 1.0
-        assert mixed.summary()["worker_utilization"] == pytest.approx(1.0)
+        assert mixed["worker_utilization"] == pytest.approx(1.0)
 
     def test_hits_still_counted_as_jobs(self, mixed):
-        summary = mixed.summary()
-        assert summary["jobs"] == 4
-        assert summary["computed"] == 2
-        assert summary["cache_hits"] == 1
-        assert summary["checkpoint_hits"] == 1
-        assert summary["hit_rate"] == pytest.approx(0.5)
-
-    def test_per_worker_breakdown(self, mixed):
-        per_worker = mixed.summary()["per_worker"]
-        assert set(per_worker) == {111, 222}
-        assert per_worker[111]["jobs"] == 1
-        assert per_worker[111]["seconds"] == pytest.approx(2.0)
-        assert per_worker[222]["mean_seconds"] == pytest.approx(4.0)
+        assert mixed["jobs"] == 3
+        assert mixed["computed"] == 2
+        assert mixed["cache_hits"] == 1
+        assert mixed["hit_rate"] == pytest.approx(1 / 3)
+        assert mixed["records"] == 30
+        assert mixed["wall_seconds"] == pytest.approx(3.0)
+        assert mixed["workers"] == 2
 
     def test_hits_do_not_dilute_existing_averages(self):
-        """Adding hit events must leave every busy-time stat unchanged."""
-        baseline = EngineMetrics()
-        feed(baseline, [computed(2.0, 111), computed(4.0, 222)])
-        baseline.wall_seconds = 3.0
-
-        warmed = EngineMetrics()
-        feed(warmed, [
-            computed(2.0, 111),
-            computed(4.0, 222),
-            *[{"source": SOURCE_CACHE, "seconds": 0.0, "records": 1}] * 50,
-        ])
-        warmed.wall_seconds = 3.0
-
-        a, b = baseline.summary(), warmed.summary()
-        for key in ("busy_seconds", "mean_job_seconds",
-                    "worker_utilization", "per_worker"):
-            assert a[key] == b[key], key
+        """Adding hits must leave every busy-time figure unchanged."""
+        baseline = sweep_summary(feed([computed(2.0), computed(4.0)]))
+        warmed = sweep_summary(
+            feed([computed(2.0), computed(4.0), *[HIT] * 50])
+        )
+        for key in ("busy_seconds", "worker_utilization"):
+            assert baseline[key] == pytest.approx(warmed[key]), key
 
 
 class TestAllHitSweep:
     def test_fully_cached_sweep_reports_zero_busy(self):
-        metrics = EngineMetrics()
-        feed(metrics, [
-            {"source": SOURCE_CACHE, "seconds": 0.0, "records": 5},
-            {"source": SOURCE_CHECKPOINT, "seconds": 0.0, "records": 5},
-        ])
-        metrics.wall_seconds = 1.0
-        summary = metrics.summary()
+        summary = sweep_summary(feed([HIT, HIT], wall=1.0))
         assert summary["busy_seconds"] == 0.0
-        assert summary["mean_job_seconds"] == 0.0
         assert summary["worker_utilization"] == 0.0
-        assert summary["per_worker"] == {}
         assert summary["hit_rate"] == 1.0
-        assert "worker(s)" in metrics.render()
 
 
-class TestWorkerSummary:
-    def test_skips_jobs_without_worker_id(self):
-        metrics = EngineMetrics()
-        feed(metrics, [
-            computed(1.0, worker=None),
-            computed(3.0, worker=7),
-        ])
-        assert set(metrics.worker_summary()) == {7}
-
-    def test_aggregates_per_worker(self):
-        metrics = EngineMetrics()
-        feed(metrics, [
-            computed(1.0, worker=7),
-            computed(3.0, worker=7),
-        ])
-        entry = metrics.worker_summary()[7]
-        assert entry["jobs"] == 2
-        assert entry["seconds"] == pytest.approx(4.0)
-        assert entry["mean_seconds"] == pytest.approx(2.0)
+def test_untraced_summary_is_empty():
+    """A tracer that saw no sweep reports no jobs and no time."""
+    summary = sweep_summary(Tracer())
+    assert summary["jobs"] == 0 and summary["hit_rate"] == 0.0
+    assert summary["wall_seconds"] == 0.0
+    assert summary["worker_utilization"] == 0.0

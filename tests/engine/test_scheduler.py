@@ -1,9 +1,11 @@
-"""Scheduler behavior: parallel determinism, ordering, metrics, hooks.
+"""Scheduler behavior: parallel determinism, ordering, trace, progress.
 
 Includes the headline acceptance check: a 2004-2012 trend sweep with
 ``jobs=4`` is value-identical to the serial run, and a second
 invocation of the same sweep is answered almost entirely from cache.
 """
+
+import io
 
 import pytest
 
@@ -15,8 +17,9 @@ from repro.analysis.longitudinal import (
 )
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import build_jobs, clear_worker_state
-from repro.engine.metrics import EngineMetrics, progress_hook
+from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import ExecutionEngine
+from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.simulation.scenario import SimulatedInternet
 from repro.util.dates import utc_timestamp
 
@@ -25,16 +28,17 @@ from tests.engine.conftest import ENGINE_WORLD
 SWEEP_YEARS = list(range(2004, 2013))
 
 
-def run_sweep(jobs: int, cache=None, metrics=None, with_stability=True,
+def run_sweep(jobs: int, cache=None, tracer=NULL_TRACER, with_stability=True,
               batch=1):
-    """One 2004-2012 yearly trend sweep through the engine."""
+    """One 2004-2012 yearly trend sweep through the engine, reporting
+    to ``tracer`` (for :func:`sweep_summary`)."""
     clear_worker_state()
-    engine = ExecutionEngine(jobs=jobs, cache=cache, metrics=metrics,
-                             batch=batch)
+    engine = ExecutionEngine(jobs=jobs, cache=cache, batch=batch)
     study = LongitudinalStudy(
         SimulatedInternet(ENGINE_WORLD, start="2004-01-01"), engine=engine
     )
-    return study.run_years(SWEEP_YEARS, with_stability=with_stability)
+    with use_tracer(tracer):
+        return study.run_years(SWEEP_YEARS, with_stability=with_stability)
 
 
 def all_series(results):
@@ -73,13 +77,13 @@ class TestParallelDeterminism:
 class TestCachedSweep:
     def test_second_invocation_hits_cache(self, tmp_path, serial_results):
         """Acceptance: repeat sweep completes with >= 90% cache hits,
-        verified through the metrics hook, with identical values."""
+        verified through the trace, with identical values."""
         cache = ResultCache(tmp_path)
         first = run_sweep(jobs=1, cache=cache)
-        metrics = EngineMetrics()
-        second = run_sweep(jobs=1, cache=cache, metrics=metrics)
+        tracer = Tracer()
+        second = run_sweep(jobs=1, cache=cache, tracer=tracer)
 
-        summary = metrics.summary()
+        summary = sweep_summary(tracer)
         assert summary["hit_rate"] >= 0.9
         assert summary["cache_hits"] == len(SWEEP_YEARS)
         assert summary["computed"] == 0
@@ -92,9 +96,9 @@ class TestCachedSweep:
     def test_parallel_reads_and_fills_same_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_sweep(jobs=2, cache=cache, with_stability=False)
-        metrics = EngineMetrics()
-        run_sweep(jobs=2, cache=cache, metrics=metrics, with_stability=False)
-        assert metrics.summary()["hit_rate"] == 1.0
+        tracer = Tracer()
+        run_sweep(jobs=2, cache=cache, tracer=tracer, with_stability=False)
+        assert sweep_summary(tracer)["hit_rate"] == 1.0
 
 
 class TestOrderingAndEvents:
@@ -111,7 +115,8 @@ class TestOrderingAndEvents:
         assert [r.year for r in results] == [2004.0, 2004.25, 2004.5]
 
     def test_event_stream_shape(self):
-        events = []
+        """One ``engine-sweep`` span holds one computed ``engine-job``
+        span per job, and the engine counters add up."""
         jobs = build_jobs(
             ENGINE_WORLD,
             utc_timestamp(2004, 1, 1),
@@ -119,36 +124,50 @@ class TestOrderingAndEvents:
             with_stability=False,
         )
         clear_worker_state()
-        engine = ExecutionEngine(jobs=1, hooks=(lambda e, p: events.append((e, p)),))
-        engine.run(jobs)
-        names = [name for name, _ in events]
-        assert names[0] == "sweep_start" and names[-1] == "sweep_done"
-        assert names.count("job_start") == 2 and names.count("job_done") == 2
-        done = [p for name, p in events if name == "job_done"]
-        assert all(p["source"] == "computed" for p in done)
-        assert all(p["records"] > 0 for p in done)
-        assert all(p["seconds"] > 0 for p in done)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ExecutionEngine(jobs=1).run(jobs)
+        (sweep,) = [s for s in tracer.spans if s.name == "engine-sweep"]
+        assert sweep.attrs == {"jobs": 2, "workers": 1}
+        done = [s for s in tracer.spans if s.name == "engine-job"]
+        assert [s.attrs["label"] for s in done] == ["2004-01", "2004-04"]
+        assert all(s.parent_id == sweep.span_id for s in done)
+        assert all(s.attrs["source"] == "computed" for s in done)
+        assert all(s.attrs["records"] > 0 for s in done)
+        assert all(s.seconds > 0 for s in done)
+        assert tracer.counters["engine.jobs.computed"] == 2
+        assert tracer.counters["engine.records"] == sum(
+            s.attrs["records"] for s in done
+        )
 
-    def test_progress_hook_narrates(self, capsys):
-        import sys
-
+    def test_progress_hook_narrates(self, tmp_path):
+        """``progress=`` narrates the sweep, computed jobs and hits."""
         jobs = build_jobs(
             ENGINE_WORLD,
             utc_timestamp(2004, 1, 1),
             [(2004, 1, 2004.0)],
             with_stability=False,
         )
-        clear_worker_state()
-        ExecutionEngine(jobs=1, hooks=(progress_hook(sys.stderr),)).run(jobs)
-        err = capsys.readouterr().err
-        assert "[engine] 1 job(s) on 1 worker(s)" in err
-        assert "2004-01: computed" in err
-        assert "sweep done" in err
+        cache = ResultCache(tmp_path)
+        lines = []
+        for _ in range(2):
+            clear_worker_state()
+            stream = io.StringIO()
+            ExecutionEngine(jobs=1, cache=cache, progress=stream).run(jobs)
+            lines.append(stream.getvalue().splitlines())
+        computed, cached = lines
+        assert computed[0] == "[engine] 1 job(s) on 1 worker(s)"
+        assert computed[1].startswith("[engine] 2004-01: computed (")
+        records = computed[1].split("s, ", 1)[1]
+        assert records.endswith(" records)")
+        assert cached[1] == f"[engine] 2004-01: cache (0.00s, {records}"
+        for narration in lines:
+            assert len(narration) == 3
+            assert narration[2].startswith("[engine] sweep done in ")
 
 
 class TestMetricsSummary:
     def test_summary_fields(self):
-        metrics = EngineMetrics()
         jobs = build_jobs(
             ENGINE_WORLD,
             utc_timestamp(2004, 1, 1),
@@ -156,15 +175,18 @@ class TestMetricsSummary:
             with_stability=False,
         )
         clear_worker_state()
-        ExecutionEngine(jobs=1, metrics=metrics).run(jobs)
-        summary = metrics.summary()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ExecutionEngine(jobs=1).run(jobs)
+        summary = sweep_summary(tracer)
         assert summary["jobs"] == 2
         assert summary["computed"] == 2
+        assert summary["cache_hits"] == 0
         assert summary["records"] > 0
         assert summary["busy_seconds"] > 0
-        assert summary["wall_seconds"] > 0
+        assert summary["wall_seconds"] >= summary["busy_seconds"]
+        assert summary["workers"] == 1
         assert 0 < summary["worker_utilization"] <= 1
-        assert "worker(s)" in metrics.render()
 
     def test_engine_rejects_zero_workers(self):
         with pytest.raises(ValueError):

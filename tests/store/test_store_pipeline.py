@@ -17,6 +17,7 @@ from repro.analysis.longitudinal import (
 from repro.cli import main
 from repro.engine.cache import ResultCache, job_digest
 from repro.engine.jobs import build_jobs
+from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import ExecutionEngine
 from repro.obs import Tracer, use_tracer
 from repro.simulation.scenario import SimulatedInternet
@@ -89,10 +90,14 @@ class TestStoreParity:
         cache = ResultCache(tmp_path / "cache")
         store_dir = tmp_path / "store"
         _sweep(store_dir=store_dir, engine=ExecutionEngine(cache=cache))
-        engine = ExecutionEngine(cache=cache)
-        again = _sweep(store_dir=store_dir, engine=engine)
-        assert engine.metrics.cache_hits == len(YEARS)
-        assert engine.metrics.count("computed") == 0
+        tracer = Tracer()
+        with use_tracer(tracer):
+            again = _sweep(
+                store_dir=store_dir, engine=ExecutionEngine(cache=cache)
+            )
+        summary = sweep_summary(tracer)
+        assert summary["cache_hits"] == len(YEARS)
+        assert summary["computed"] == 0
         with AtomStore(store_dir) as store:
             _assert_rows_equal(again, trend_results_from_store(store))
 

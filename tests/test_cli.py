@@ -94,6 +94,16 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --incremental" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["trend"], ["store", "build", "s"]])
+    def test_checkpoint_flag_is_gone(self, capsys, command):
+        """A sweep resumes through ``--cache-dir``; the log is gone."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--checkpoint", "F"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --checkpoint F" in (
+            capsys.readouterr().err
+        )
+
 
 class TestCommands:
     def test_atoms_from_simulation(self, capsys):
@@ -150,17 +160,15 @@ class TestEngineFlags:
 
     def test_parser_accepts_engine_flags(self):
         args = build_parser().parse_args(
-            self.TREND + ["--jobs", "4", "--progress", "--cache-dir", "/tmp/c",
-                          "--checkpoint", "/tmp/ck.jsonl"]
+            self.TREND + ["--jobs", "4", "--progress", "--cache-dir", "/tmp/c"]
         )
         assert args.jobs == 4 and args.progress
         assert str(args.cache_dir) == "/tmp/c"
-        assert str(args.checkpoint) == "/tmp/ck.jsonl"
 
     def test_jobs_default_is_serial(self):
         args = build_parser().parse_args(self.TREND)
         assert args.jobs == 1 and not args.progress
-        assert args.cache_dir is None and args.checkpoint is None
+        assert args.cache_dir is None
 
     def test_trend_parallel_matches_serial_output(self, capsys):
         assert main(self.TREND) == 0
@@ -189,11 +197,50 @@ class TestEngineFlags:
         assert "Policy atom statistics" in capsys.readouterr().out
 
     def test_trend_checkpoint_written(self, tmp_path, capsys):
-        ck = tmp_path / "trend.jsonl"
-        assert main(self.TREND + ["--checkpoint", str(ck)]) == 0
+        """``--cache-dir`` keeps one entry per finished quarter."""
+        from repro.engine.cache import ResultCache
+
+        assert main(self.TREND + ["--cache-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert ck.exists()
-        assert len(ck.read_text(encoding="utf-8").splitlines()) == 2
+        assert len(ResultCache(tmp_path)) == 2
+
+    def test_killed_trend_resumes_from_the_cache(self, tmp_path, capsys):
+        """A rerun after a partial sweep prints the uncached table and
+        answers the finished quarter from the cache."""
+        assert main(self.TREND) == 0
+        uncached = capsys.readouterr().out
+        cache = ["--cache-dir", str(tmp_path), "--progress"]
+        partial = self.TREND[:]
+        partial[partial.index("--last-year") + 1] = "2006"
+        assert main(partial + cache) == 0
+        capsys.readouterr()
+
+        assert main(self.TREND + cache) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == uncached
+        assert "[engine] 2006-01: cache (0.00s, " in resumed.err
+        assert "[engine] 2007-01: computed (" in resumed.err
+        summary = resumed.err.splitlines()[-1]
+        assert summary.startswith("2 jobs: 1 computed, 1 cache hits (50% reuse)")
+        assert "resumed" not in resumed.err
+
+    def test_progress_summary_is_read_from_the_trace(self, tmp_path, capsys):
+        """With ``--trace`` the summary reads the exported tracer; without
+        it a private tracer is installed and removed again."""
+        from repro.obs import NULL_TRACER, get_tracer, load_trace
+
+        trace = tmp_path / "t.jsonl"
+        assert main(self.TREND + ["--progress", "--trace", str(trace)]) == 0
+        traced = capsys.readouterr().err.splitlines()[-1]
+        assert traced.startswith("2 jobs: 2 computed, 0 cache hits (0% reuse)")
+        counters = load_trace(trace).counters
+        assert f"| {counters['engine.records']:,} records |" in traced
+
+        assert main(self.TREND + ["--progress"]) == 0
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "2 jobs: 2 computed"
+        )
+        assert get_tracer() is NULL_TRACER
 
 
 class TestStoreErrorExits:
@@ -307,6 +354,24 @@ class TestLiveCheckpointErrorExits:
         (ckpt / "state.json").write_text(json.dumps(state))
         (ckpt / "rib-00000001.jsonl.gz").write_bytes(b"")
         self._assert_one_line(capsys, argv, "checkpoint version 1 ")
+
+
+def test_live_progress_starts_no_tracer(tmp_path, capsys, monkeypatch):
+    """``repro live --progress`` narrates windows without tracing."""
+    import repro.cli
+    from repro.stream.archive import RecordArchive
+    from tests.stream.test_live import full_stream
+
+    archive = tmp_path / "archive"
+    RecordArchive(archive).write_dump(full_stream())
+
+    def no_tracer():
+        raise AssertionError("repro live --progress started a tracer")
+
+    monkeypatch.setattr(repro.cli, "Tracer", no_tracer)
+    argv = ["live", "--archive", str(archive), "--window", "100", "--progress"]
+    assert main(argv) == 0
+    assert " closed @ " in capsys.readouterr().err
 
 
 class TestConverge:
