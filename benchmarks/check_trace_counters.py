@@ -114,7 +114,6 @@ TRACKED_PREFIXES = (
     "atoms.",
     "incremental.",
     "engine.",
-    "exchange.",
     "store.",
     "live.",
     "sim.",

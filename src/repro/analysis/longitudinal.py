@@ -26,13 +26,10 @@ from repro.obs import get_tracer, traced_records
 from repro.reporting.series import Series
 from repro.simulation.scenario import SimulatedInternet
 from repro.simulation.snapshot import RenderMemo
-from repro.util.dates import utc_timestamp
+from repro.util.dates import QUARTER_MONTHS, QUARTER_SNAPSHOT_OFFSETS, utc_timestamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.scheduler import ExecutionEngine
-
-#: (day, hour) of the four snapshots inside an analysed month.
-SNAPSHOT_OFFSETS = ((15, 8), (15, 16), (16, 8), (22, 8))
 
 
 @dataclass
@@ -219,7 +216,8 @@ class LongitudinalStudy:
         is local to this call: it never outlives the quarter.
         """
         times = [
-            utc_timestamp(year, month, day, hour) for day, hour in SNAPSHOT_OFFSETS
+            utc_timestamp(year, month, day, hour)
+            for day, hour in QUARTER_SNAPSHOT_OFFSETS
         ]
         memo = RenderMemo()
         base = self._compute(times[0], memo)
@@ -273,14 +271,14 @@ class LongitudinalStudy:
                 [
                     (year, month, year + index / 4.0)
                     for year in range(first_year, last_year + 1)
-                    for index, month in enumerate((1, 4, 7, 10))
+                    for index, month in enumerate(QUARTER_MONTHS)
                 ],
                 with_stability,
                 with_updates,
             )
         results: List[YearResult] = []
         for year in range(first_year, last_year + 1):
-            for index, month in enumerate((1, 4, 7, 10)):
+            for index, month in enumerate(QUARTER_MONTHS):
                 suite = self.snapshot_suite(
                     year,
                     month,

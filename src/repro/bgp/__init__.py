@@ -7,7 +7,6 @@ dump chunk).
 """
 
 from repro.bgp.attributes import Community, PathAttributes
-from repro.bgp.decision import CandidateRoute, best_route, rank_routes
 from repro.bgp.errors import BGPError, CorruptRecordError
 from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.bgp.rib import AdjRIBIn, RIBSnapshot
@@ -15,7 +14,6 @@ from repro.bgp.rib import AdjRIBIn, RIBSnapshot
 __all__ = [
     "AdjRIBIn",
     "BGPError",
-    "CandidateRoute",
     "Community",
     "CorruptRecordError",
     "ElementType",
@@ -23,6 +21,4 @@ __all__ = [
     "RIBSnapshot",
     "RouteElement",
     "RouteRecord",
-    "best_route",
-    "rank_routes",
 ]

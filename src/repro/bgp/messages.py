@@ -15,7 +15,7 @@ in the same record.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.prefix import Prefix
@@ -190,39 +190,3 @@ class RouteRecord:
             f"peer=AS{self.peer_asn}, t={self.timestamp}, "
             f"{len(self.elements)} elements)"
         )
-
-
-def merge_records_by_peer(
-    records: Iterable[RouteRecord],
-) -> List[RouteRecord]:
-    """Merge consecutive same-peer, same-timestamp update records.
-
-    Some collectors split one logical UPDATE into several MRT records;
-    analyses that care about "prefixes updated together" want them joined
-    back.  Records are merged only when peer identity, type and timestamp
-    all match.
-    """
-    merged: List[RouteRecord] = []
-    for record in records:
-        if (
-            merged
-            and merged[-1].record_type == record.record_type
-            and merged[-1].peer_id == record.peer_id
-            and merged[-1].timestamp == record.timestamp
-        ):
-            previous = merged.pop()
-            merged.append(
-                RouteRecord(
-                    record.record_type,
-                    record.project,
-                    record.collector,
-                    record.peer_asn,
-                    record.peer_address,
-                    record.timestamp,
-                    previous.elements + record.elements,
-                    previous.corrupt_warning or record.corrupt_warning,
-                )
-            )
-        else:
-            merged.append(record)
-    return merged

@@ -28,7 +28,10 @@ Four subcommands mirror the measurement workflow:
 Commands that open a store (``store info/query``, ``serve``) exit with
 code 2 and a one-line ``store error:`` message when the store is
 missing or corrupt — never a traceback; ``repro live`` does the same
-with ``checkpoint error:`` for a checkpoint it cannot resume.
+with ``checkpoint error:`` for a checkpoint it cannot resume.  The
+commands that read an archive (``atoms --archive``, ``live``) exit 2
+with ``archive error: no archive at <path>`` when the directory does
+not exist, and create nothing.
 
 ``repro atoms`` and ``repro trend`` accept ``--trace FILE.jsonl`` to
 record a structured trace of the run; output is byte-identical with or
@@ -58,7 +61,7 @@ from repro.engine.checkpoint import StreamCheckpointError
 from repro.engine.jobs import SnapshotJob
 from repro.engine.metrics import sweep_summary
 from repro.engine.scheduler import ExecutionEngine
-from repro.net.prefix import AF_INET, AF_INET6
+from repro.net.prefix import AF_INET, AF_INET6, Prefix, PrefixError
 from repro.obs import (
     Tracer,
     counter_rows,
@@ -127,6 +130,23 @@ def _non_negative_float(value: str) -> float:
     if not math.isfinite(number) or number < 0:
         raise argparse.ArgumentTypeError("must be a finite number >= 0")
     return number
+
+
+def _prefix_text(value: str) -> str:
+    """Argparse type for a prefix argument: validated, passed on verbatim."""
+    try:
+        Prefix.parse(value)
+    except PrefixError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
+def _open_archive(path: Path) -> Optional[RecordArchive]:
+    """A handle on an existing archive, else ``None`` after one error line."""
+    if not path.is_dir():
+        print(f"archive error: no archive at {path}", file=sys.stderr)
+        return None
+    return RecordArchive(path)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -264,7 +284,10 @@ def cmd_atoms(args: argparse.Namespace) -> int:
     if args.archive:
         # Archive-sourced snapshots stream straight through the
         # pipeline; the engine only covers simulated worlds.
-        stream = BGPStream(RecordArchive(args.archive), record_type="rib")
+        archive = _open_archive(args.archive)
+        if archive is None:
+            return 2
+        stream = BGPStream(archive, record_type="rib")
         result = compute_policy_atoms(stream.records())
         report = result.report
         shares = (
@@ -453,7 +476,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_live(args: argparse.Namespace) -> int:
     """Handle ``repro live``: stream an archive through the pipeline."""
-    archive = RecordArchive(args.archive)
+    archive = _open_archive(args.archive)
+    if archive is None:
+        return 2
     records = chain(
         BGPStream(archive, record_type="rib").records(),
         BGPStream(archive, record_type="update").records(),
@@ -694,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="locate one prefix's atom inside a store"
     )
     query.add_argument("store_dir", type=Path)
-    query.add_argument("prefix", help="prefix to look up, e.g. 10.1.0.0/16")
+    query.add_argument("prefix", type=_prefix_text,
+                       help="prefix to look up, e.g. 10.1.0.0/16")
     query.add_argument("--snapshot", default=None,
                        help="snapshot key (default: the first snapshot)")
     query.set_defaults(handler=cmd_store_query)

@@ -34,7 +34,7 @@ from repro.core.statistics import GeneralStats
 from repro.net.prefix import AF_INET
 from repro.obs import get_tracer
 from repro.topology.evolution import WorldParams
-from repro.util.dates import utc_timestamp
+from repro.util.dates import QUARTER_SNAPSHOT_OFFSETS, utc_timestamp
 
 #: Serialization format version; bump together with cache.CACHE_SALT.
 #: v2: results no longer carry incremental-maintenance counters.
@@ -44,13 +44,12 @@ RESULT_VERSION = 2
 def suite_times(year: int, month: int, with_stability: bool) -> Tuple[int, ...]:
     """The ``advance_to`` instants one quarter's suite walks through.
 
-    Mirrors :data:`repro.analysis.longitudinal.SNAPSHOT_OFFSETS`: the
-    base snapshot always, plus the three stability comparison snapshots
-    when requested.
+    The base snapshot always, plus the three stability comparison
+    snapshots when requested (:data:`repro.util.dates.QUARTER_SNAPSHOT_OFFSETS`).
     """
-    from repro.analysis.longitudinal import SNAPSHOT_OFFSETS
-
-    offsets = SNAPSHOT_OFFSETS if with_stability else SNAPSHOT_OFFSETS[:1]
+    offsets = QUARTER_SNAPSHOT_OFFSETS
+    if not with_stability:
+        offsets = offsets[:1]
     return tuple(utc_timestamp(year, month, day, hour) for day, hour in offsets)
 
 
@@ -240,11 +239,11 @@ def _world_for(job: SnapshotJob):
             internet, applied = restored
             _WORLDS[key] = [internet, applied]
             if tracer.enabled:
-                tracer.count("exchange.world_restores")
-                tracer.count("exchange.world_restored_instants", len(applied))
+                tracer.count("engine.world_restores")
+                tracer.count("engine.world_restored_instants", len(applied))
             return internet, applied
         if tracer.enabled:
-            tracer.count("exchange.world_restore_misses")
+            tracer.count("engine.world_restore_misses")
     internet = SimulatedInternet(job.params, start=job.start)
     entry = [internet, []]
     _WORLDS[key] = entry
@@ -272,7 +271,7 @@ def _maybe_checkpoint_world(job: SnapshotJob, internet, applied) -> None:
     if path is not None:
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.count("exchange.world_saves")
+            tracer.count("engine.world_saves")
 
 
 def execute_snapshot_job(job: SnapshotJob) -> QuarterResult:

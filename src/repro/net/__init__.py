@@ -1,23 +1,13 @@
-"""Network primitives: prefixes, AS numbers, AS paths, and a prefix trie.
+"""Network primitives: prefixes, AS numbers and AS paths.
 
 These are the lowest-level building blocks shared by the BGP substrate,
 the topology simulator, and the policy-atom pipeline.  Everything here is
 pure data with no I/O.
 """
 
-from repro.net.asn import (
-    AS_TRANS,
-    PRIVATE_ASN_RANGES,
-    is_documentation_asn,
-    is_private_asn,
-    is_public_asn,
-    is_reserved_asn,
-    validate_asn,
-)
-from repro.net.aspath import ASPath, PathSegment, SegmentType
+from repro.net.asn import PRIVATE_ASN_RANGES, is_private_asn, validate_asn
+from repro.net.aspath import AS_TRANS, ASPath, PathSegment, SegmentType
 from repro.net.prefix import AF_INET, AF_INET6, Prefix, PrefixError
-from repro.net.prefix_set import PrefixSet
-from repro.net.trie import PrefixTrie
 
 __all__ = [
     "AF_INET",
@@ -28,12 +18,7 @@ __all__ = [
     "PathSegment",
     "Prefix",
     "PrefixError",
-    "PrefixSet",
-    "PrefixTrie",
     "SegmentType",
-    "is_documentation_asn",
     "is_private_asn",
-    "is_public_asn",
-    "is_reserved_asn",
     "validate_asn",
 ]

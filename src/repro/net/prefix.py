@@ -1,8 +1,7 @@
 """IP prefix representation for IPv4 and IPv6.
 
 A :class:`Prefix` is an immutable (address-family, network-integer, length)
-triple.  The integer form keeps containment and aggregation checks cheap and
-lets the radix trie index prefixes without string parsing on the hot path.
+triple.  The integer form keeps containment and aggregation checks cheap.
 """
 
 from __future__ import annotations
@@ -29,7 +28,11 @@ def _parse_v4(text: str) -> int:
         raise PrefixError(f"invalid IPv4 address {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
+        # ASCII only: isdigit() also passes "²", which int() rejects,
+        # and "٣", which int() reads as 3
+        if not (part.isascii() and part.isdigit()) or (
+            len(part) > 1 and part[0] == "0"
+        ):
             raise PrefixError(f"invalid IPv4 octet {part!r} in {text!r}")
         octet = int(part)
         if octet > 255:
@@ -157,7 +160,7 @@ class Prefix:
             family, bits = AF_INET, _V4_BITS
             value = _parse_v4(address)
         if sep:
-            if not length_text.isdigit():
+            if not (length_text.isascii() and length_text.isdigit()):
                 raise PrefixError(f"invalid prefix length in {text!r}")
             length = int(length_text)
         else:
@@ -181,14 +184,6 @@ class Prefix:
     @property
     def max_length(self) -> int:
         return _V4_BITS if self.family == AF_INET else _V6_BITS
-
-    @property
-    def is_ipv4(self) -> bool:
-        return self.family == AF_INET
-
-    @property
-    def is_ipv6(self) -> bool:
-        return self.family == AF_INET6
 
     def bit(self, position: int) -> int:
         """Return bit ``position`` (0 = most significant) of the network."""

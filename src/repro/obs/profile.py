@@ -23,8 +23,60 @@ class TraceData:
     counters: Dict[str, int] = field(default_factory=dict)
 
 
+def _is_int(value: object) -> bool:
+    """True for a JSON integer; ``true``/``false`` load as ``bool``, an
+    ``int`` subclass, and are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _entry_problem(entry: object) -> Optional[str]:
+    """Why one parsed line is not a well-shaped trace entry, or None.
+
+    Checks every field the loader, :func:`validate_spans` and the
+    rollups read, so a trace that loads never fails in them.
+    """
+    if not isinstance(entry, dict):
+        return f"expected an object, got {type(entry).__name__}"
+    kind = entry.get("type")
+    if kind == "meta":
+        return None
+    if kind == "counter":
+        if not isinstance(entry.get("name"), str):
+            return "counter name is not a string"
+        if not _is_int(entry.get("value")):
+            return f"counter {entry['name']!r}: value is not an integer"
+        return None
+    if kind != "span":
+        return f"unknown entry type {kind!r}"
+    if not _is_int(entry.get("id")):
+        return "span id is not an integer"
+    label = f"span {entry['id']}"
+    if not isinstance(entry.get("name"), str):
+        return f"{label}: name is not a string"
+    for key in ("start", "seconds"):
+        if not _is_number(entry.get(key)):
+            return f"{label}: {key} is not a number"
+    end, parent = entry.get("end"), entry.get("parent")
+    if end is not None and not _is_number(end):
+        return f"{label}: end is neither a number nor null"
+    if parent is not None and not _is_int(parent):
+        return f"{label}: parent is neither an integer nor null"
+    counters = entry.get("counters", {})
+    if not isinstance(counters, dict) or not all(map(_is_int, counters.values())):
+        return f"{label}: counters is not an object of integers"
+    return None
+
+
 def load_trace(source: Union[str, os.PathLike, IO[str]]) -> TraceData:
-    """Parse a JSONL trace export; raises ValueError on malformed input."""
+    """Parse a JSONL trace export.
+
+    Raises ValueError (``line N: ...``) on a line that is not JSON or
+    not a well-shaped entry.
+    """
     if hasattr(source, "read"):
         lines = list(source)  # type: ignore[arg-type]
     else:
@@ -39,15 +91,16 @@ def load_trace(source: Union[str, os.PathLike, IO[str]]) -> TraceData:
             entry = json.loads(line)
         except json.JSONDecodeError as error:
             raise ValueError(f"line {number}: not JSON ({error})") from error
-        kind = entry.get("type")
+        problem = _entry_problem(entry)
+        if problem is not None:
+            raise ValueError(f"line {number}: {problem}")
+        kind = entry["type"]
         if kind == "meta":
             trace.meta = entry
         elif kind == "span":
             trace.spans.append(entry)
-        elif kind == "counter":
-            trace.counters[str(entry["name"])] = int(entry["value"])
         else:
-            raise ValueError(f"line {number}: unknown entry type {kind!r}")
+            trace.counters[entry["name"]] = entry["value"]
     return trace
 
 

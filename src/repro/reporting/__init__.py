@@ -1,12 +1,11 @@
-"""Rendering helpers: text tables and figure series.
+"""Rendering helpers: aligned text tables and (x, y) figure series.
 
 The benchmark harness regenerates every table and figure of the paper;
-these helpers keep the output format consistent (aligned text tables,
-CSV-exportable series) without pulling in plotting dependencies.
+tables print as aligned text, and each figure is a list of series that
+can be exported to CSV for plotting elsewhere.
 """
 
-from repro.reporting.figures import render_chart, render_histogram
 from repro.reporting.series import Series, write_csv
 from repro.reporting.tables import render_table
 
-__all__ = ["Series", "render_chart", "render_histogram", "render_table", "write_csv"]
+__all__ = ["Series", "render_table", "write_csv"]

@@ -11,7 +11,6 @@ current with one incremental atom index (``repro live``), and
 
 from repro.stream.archive import RecordArchive
 from repro.stream.bgpstream import BGPStream
-from repro.stream.filters import RecordFilter, apply
 from repro.stream.live import (
     LiveConfig,
     LiveError,
@@ -25,7 +24,6 @@ from repro.stream.windows import (
     render_window_table,
     window_churn,
     window_correlation,
-    window_series,
 )
 
 __all__ = [
@@ -38,12 +36,9 @@ __all__ = [
     "MRTReader",
     "MRTWriter",
     "RecordArchive",
-    "RecordFilter",
     "WindowResult",
-    "apply",
     "read_mrt",
     "render_window_table",
     "window_churn",
     "window_correlation",
-    "window_series",
 ]

@@ -28,11 +28,13 @@ from repro.util.durable import atomic_file, sweep_stale_tmp
 
 
 class RecordArchive:
-    """Write and query route-record dumps under one root directory."""
+    """Write and query route-record dumps under one root directory.
+
+    A handle creates nothing: the first dump written creates the root.
+    """
 
     def __init__(self, root: os.PathLike):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         #: decoded paths and attribute bundles, shared by every read
         self._memo = DecodeMemo()
 
@@ -119,6 +121,8 @@ class RecordArchive:
     ) -> List[Tuple[str, str, str, int, Path]]:
         """Enumerate stored dumps as (project, collector, type, ts, path)."""
         found: List[Tuple[str, str, str, int, Path]] = []
+        if not self.root.is_dir():
+            return found
         projects = [project] if project else sorted(
             p.name for p in self.root.iterdir() if p.is_dir()
         )

@@ -20,11 +20,10 @@ run, not the data, and is exported as a span attribute only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.bgp.messages import RouteRecord
 from repro.core.atoms import AtomSet, PolicyAtom
-from repro.reporting.series import Series
 from repro.reporting.tables import render_table
 
 
@@ -140,23 +139,6 @@ def window_churn(previous: Optional[AtomSet], current: AtomSet) -> "tuple[int, i
     before = previous.prefix_sets()
     after = current.prefix_sets()
     return len(after - before), len(before - after)
-
-
-def window_series(results: Sequence[WindowResult]) -> List[Series]:
-    """The windows as figure-ready series (x = window end, epoch s)."""
-    atoms = Series("live.atoms")
-    dirty = Series("live.dirty")
-    created = Series("live.churn_created")
-    removed = Series("live.churn_removed")
-    pr_full = Series("live.pr_full")
-    for window in results:
-        x = float(window.end)
-        atoms.add(x, float(window.atoms))
-        dirty.add(x, float(window.dirty))
-        created.add(x, float(window.created))
-        removed.add(x, float(window.removed))
-        pr_full.add(x, window.pr_full)
-    return [atoms, dirty, created, removed, pr_full]
 
 
 def render_window_table(results: Sequence[WindowResult]) -> str:

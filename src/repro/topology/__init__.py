@@ -8,7 +8,7 @@ sources of policy-atom structure.
 """
 
 from repro.topology.addressing import AddressAllocator
-from repro.topology.evolution import InternetModel, WorldParams, YearProfile, profile_for
+from repro.topology.evolution import WorldParams, YearProfile, profile_for
 from repro.topology.generator import GeneratorParams, generate_topology
 from repro.topology.model import ASGraph, ASNode, Relationship, Tier
 from repro.topology.policies import OriginPolicy, PolicyUnit, TransitPolicy
@@ -18,7 +18,6 @@ __all__ = [
     "ASNode",
     "AddressAllocator",
     "GeneratorParams",
-    "InternetModel",
     "OriginPolicy",
     "PolicyUnit",
     "Relationship",

@@ -263,17 +263,3 @@ TINY_WORLD = WorldParams(as_scale=1 / 400, prefix_scale=1 / 400, peer_scale=0.05
 SMALL_WORLD = WorldParams(as_scale=1 / 120, prefix_scale=1 / 120, peer_scale=0.05,
                           collector_scale=0.25, min_fullfeed_peers=6)
 MEDIUM_WORLD = WorldParams(as_scale=1 / 50, prefix_scale=1 / 50, peer_scale=0.08)
-
-
-class InternetModel:
-    """Placeholder import shim.
-
-    The mutable world lives in :mod:`repro.topology.world`; it is
-    re-exported here for the package API.  Importing lazily avoids a
-    circular import with the generator helpers.
-    """
-
-    def __new__(cls, *args, **kwargs):  # pragma: no cover - thin shim
-        from repro.topology.world import World
-
-        return World(*args, **kwargs)

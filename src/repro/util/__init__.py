@@ -6,7 +6,6 @@ from repro.util.dates import (
     DAY,
     WEEK,
     parse_utc,
-    quarterly_snapshot_times,
     utc_timestamp,
     year_fraction,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "parse_utc",
-    "quarterly_snapshot_times",
     "utc_timestamp",
     "year_fraction",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import calendar
 from datetime import datetime, timezone
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 HOUR = 3600
 DAY = 24 * HOUR
@@ -53,31 +53,8 @@ def year_fraction(timestamp: int) -> float:
     return moment.year + (timestamp - start) / (end - start)
 
 
-def quarterly_snapshot_times(year: int) -> List[Tuple[int, ...]]:
-    """The paper's four snapshot instants for each quarter of ``year``.
-
-    Returns one tuple of four timestamps per quarter month.
-    """
-    quarters: List[Tuple[int, ...]] = []
-    for month in QUARTER_MONTHS:
-        quarters.append(
-            tuple(
-                utc_timestamp(year, month, day, hour)
-                for day, hour in QUARTER_SNAPSHOT_OFFSETS
-            )
-        )
-    return quarters
-
-
 def quarter_start(timestamp: int) -> int:
     """Timestamp of the first instant of the containing calendar quarter."""
     moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
     month = QUARTER_MONTHS[(moment.month - 1) // 3]
     return utc_timestamp(moment.year, month, 1)
-
-
-def iter_quarters(first_year: int, last_year: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
-    """Yield (year, month, snapshot-times) across an inclusive year range."""
-    for year in range(first_year, last_year + 1):
-        for month, snapshots in zip(QUARTER_MONTHS, quarterly_snapshot_times(year)):
-            yield year, month, snapshots

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.messages import (
-    ElementType,
-    RouteElement,
-    RouteRecord,
-    merge_records_by_peer,
-)
+from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 
@@ -85,42 +80,3 @@ class TestRouteRecord:
         rec = record([announcement("10.0.0.0/8"), announcement("11.0.0.0/8")])
         assert len(rec) == 2
         assert all(isinstance(e, RouteElement) for e in rec)
-
-
-class TestMergeRecords:
-    def test_merges_same_peer_same_timestamp(self):
-        merged = merge_records_by_peer(
-            [
-                record([announcement("10.0.0.0/8")], timestamp=5),
-                record([announcement("11.0.0.0/8")], timestamp=5),
-            ]
-        )
-        assert len(merged) == 1
-        assert len(merged[0]) == 2
-
-    def test_keeps_different_timestamps_apart(self):
-        merged = merge_records_by_peer(
-            [
-                record([announcement("10.0.0.0/8")], timestamp=5),
-                record([announcement("11.0.0.0/8")], timestamp=6),
-            ]
-        )
-        assert len(merged) == 2
-
-    def test_keeps_different_peers_apart(self):
-        merged = merge_records_by_peer(
-            [
-                record([announcement("10.0.0.0/8")], peer_asn=1),
-                record([announcement("11.0.0.0/8")], peer_asn=2),
-            ]
-        )
-        assert len(merged) == 2
-
-    def test_propagates_corruption(self):
-        merged = merge_records_by_peer(
-            [
-                record([announcement("10.0.0.0/8")], warning="bad"),
-                record([announcement("11.0.0.0/8")]),
-            ]
-        )
-        assert merged[0].is_corrupt

@@ -172,7 +172,7 @@ class TestCheckpointedJobExecution:
         assert [payload_bytes(r) for r in results] == [
             payload_bytes(r) for r in baseline
         ]
-        saves = tracer.counters.get("exchange.world_saves", 0)
+        saves = tracer.counters.get("engine.world_saves", 0)
         files = list(tmp_path.glob("world-*.ckpt"))
         assert saves == len(files) > 0
         # Each file's length token is stride-aligned.
@@ -190,8 +190,8 @@ class TestCheckpointedJobExecution:
         with use_tracer(tracer):
             redo = execute_snapshot_job(jobs[-1])
         assert payload_bytes(redo) == payload_bytes(baseline[-1])
-        assert tracer.counters.get("exchange.world_restores") == 1
-        assert tracer.counters.get("exchange.world_restored_instants", 0) > 0
+        assert tracer.counters.get("engine.world_restores") == 1
+        assert tracer.counters.get("engine.world_restored_instants", 0) > 0
 
     def test_empty_checkpoint_dir_counts_a_miss(self, tmp_path, baseline):
         jobs = sweep_jobs(tmp_path / "never-written", stride=2)
@@ -200,8 +200,8 @@ class TestCheckpointedJobExecution:
         with use_tracer(tracer):
             result = execute_snapshot_job(jobs[-1])
         assert payload_bytes(result) == payload_bytes(baseline[-1])
-        assert tracer.counters.get("exchange.world_restore_misses") == 1
-        assert "exchange.world_restores" not in tracer.counters
+        assert tracer.counters.get("engine.world_restore_misses") == 1
+        assert "engine.world_restores" not in tracer.counters
 
 
 class TestOutOfOrderGapAdvance:

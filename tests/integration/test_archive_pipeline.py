@@ -10,7 +10,6 @@ from repro.core.pipeline import compute_policy_atoms
 from repro.core.update_correlation import update_correlation
 from repro.stream.archive import RecordArchive
 from repro.stream.bgpstream import BGPStream
-from repro.stream.filters import apply, by_type, healthy
 from repro.util.dates import parse_utc
 
 
@@ -48,13 +47,6 @@ class TestArchivePath:
         updates = BGPStream(archive, record_type="update").records()
         correlation = update_correlation(atoms, updates, max_size=7)
         assert correlation.records_seen > 0
-
-    def test_filters_compose_with_archive(self, populated_archive):
-        archive, _, _ = populated_archive
-        stream = archive.records()
-        rib_only = list(apply(stream, by_type("rib") & healthy()))
-        assert rib_only
-        assert all(r.record_type == "rib" and not r.is_corrupt for r in rib_only)
 
 
 class TestQuarterlyCadence:

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.net.asn import (
-    AS_TRANS,
-    ASN_MAX,
-    is_documentation_asn,
-    is_private_asn,
-    is_public_asn,
-    is_reserved_asn,
-    validate_asn,
-)
+from repro.net.asn import ASN_MAX, is_private_asn, validate_asn
 
 
 class TestValidation:
@@ -38,17 +30,3 @@ class TestClassification:
         assert is_private_asn(4200000000)
         assert is_private_asn(4294967294)
         assert not is_private_asn(4294967295)
-
-    def test_documentation_ranges(self):
-        assert is_documentation_asn(64496)
-        assert is_documentation_asn(65551)
-        assert not is_documentation_asn(65552)
-
-    def test_as_trans_is_reserved(self):
-        assert is_reserved_asn(AS_TRANS)
-
-    def test_public_excludes_all_reserved(self):
-        for asn in (0, 65000, 65535, AS_TRANS, 64496, ASN_MAX):
-            assert not is_public_asn(asn)
-        for asn in (1, 3257, 5511, 25885, 400000):
-            assert is_public_asn(asn)

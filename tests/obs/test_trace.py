@@ -129,6 +129,24 @@ class TestExport:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    @pytest.mark.parametrize("entry, problem", [
+        ("[1, 2]", "expected an object, got list"),
+        ('{"type": "counter", "value": 3}', "counter name is not a string"),
+        ('{"type": "span", "name": "s", "start": 0.0, "seconds": 1.0}',
+         "span id is not an integer"),
+        ('{"type": "span", "id": 1, "name": "s", "start": 0.0}',
+         "span 1: seconds is not a number"),
+        ('{"type": "span", "id": 1, "name": "s", "start": 0.0, "end": 1.0,'
+         ' "seconds": 1.0, "parent": "zz"}',
+         "span 1: parent is neither an integer nor null"),
+    ], ids=["list", "nameless-counter", "span-without-id",
+            "span-without-seconds", "string-parent"])
+    def test_load_trace_rejects_misshapen_entries(self, entry, problem):
+        source = io.StringIO('{"type": "meta", "version": 1}\n' + entry + "\n")
+        with pytest.raises(ValueError) as error:
+            load_trace(source)
+        assert str(error.value) == f"line 2: {problem}"
+
     def test_validate_flags_unclosed_and_escaping_spans(self):
         spans = [
             {"id": 1, "parent": None, "name": "open", "start": 0.0,

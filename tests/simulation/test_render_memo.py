@@ -11,20 +11,22 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.longitudinal import SNAPSHOT_OFFSETS, LongitudinalStudy
+from repro.analysis.longitudinal import LongitudinalStudy
 from repro.core.sanitize import audit_peers
 from repro.net.asn import is_private_asn
 from repro.obs import Tracer, use_tracer
 from repro.simulation import scenario
 from repro.simulation.scenario import SimulatedInternet
 from repro.simulation.snapshot import RenderMemo
-from repro.util.dates import utc_timestamp
+from repro.util.dates import QUARTER_SNAPSHOT_OFFSETS, utc_timestamp
 from tests.conftest import TEST_WORLD
 
 #: ADD-PATH and private-ASN artifact windows are open in 2021 (A8.3),
 #: so the quarter also renders per-prefix mutated bundles.
 YEAR, MONTH = 2021, 1
-TIMES = [utc_timestamp(YEAR, MONTH, day, hour) for day, hour in SNAPSHOT_OFFSETS]
+TIMES = [
+    utc_timestamp(YEAR, MONTH, day, hour) for day, hour in QUARTER_SNAPSHOT_OFFSETS
+]
 
 
 def record_fields(record):

@@ -85,3 +85,4 @@ class TestArchiveRobustness:
         archive = RecordArchive(tmp_path / "fresh")
         assert archive.dumps() == []
         assert list(archive.records()) == []
+        assert not (tmp_path / "fresh").exists()  # a handle creates nothing

@@ -297,6 +297,19 @@ class TestStoreErrorExits:
         assert code == 2
         assert capsys.readouterr().err.startswith("store error:")
 
+    @pytest.mark.parametrize("prefix", ["10.0.0.0/33", "garbage", "::/129"])
+    def test_store_query_rejects_malformed_prefix(self, capsys, prefix):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["store", "query", "s", prefix])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument prefix: " in err
+        assert "Traceback" not in err
+
+    def test_store_query_passes_prefix_text_verbatim(self):
+        args = build_parser().parse_args(["store", "query", "s", "1.2.3.4"])
+        assert args.prefix == "1.2.3.4"
+
     def test_serve_parser_accepts_flags(self):
         from repro.cli import build_parser
 
@@ -354,6 +367,29 @@ class TestLiveCheckpointErrorExits:
         (ckpt / "state.json").write_text(json.dumps(state))
         (ckpt / "rib-00000001.jsonl.gz").write_bytes(b"")
         self._assert_one_line(capsys, argv, "checkpoint version 1 ")
+
+
+@pytest.mark.parametrize("command", [["atoms"] + COMMON, ["live"]])
+def test_missing_archive_exits_2_and_creates_nothing(tmp_path, capsys, command):
+    """``--archive`` at a path that does not exist is one error line."""
+    missing = tmp_path / "typo"
+    code = main(command + ["--archive", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"archive error: no archive at {missing}\n"
+    assert captured.out == ""
+    assert not missing.exists()
+
+
+def test_profile_malformed_trace_exits_2(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"type": "meta", "version": 1}\n[1, 2]\n')
+    assert main(["profile", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "cannot read trace: line 2: expected an object, got list\n"
+    )
+    assert captured.out == ""
 
 
 def test_live_progress_starts_no_tracer(tmp_path, capsys, monkeypatch):

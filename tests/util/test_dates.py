@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.engine.jobs import suite_times
 from repro.util.dates import (
     DAY,
     HOUR,
     WEEK,
-    iter_quarters,
     parse_utc,
     quarter_start,
-    quarterly_snapshot_times,
     utc_timestamp,
     year_fraction,
 )
@@ -47,20 +46,14 @@ class TestYearFraction:
 
 class TestQuarters:
     def test_snapshot_cadence(self):
-        quarters = quarterly_snapshot_times(2004)
-        assert len(quarters) == 4
-        january = quarters[0]
-        assert january[0] == utc_timestamp(2004, 1, 15, 8)
-        assert january[1] == utc_timestamp(2004, 1, 15, 16)
-        assert january[2] == utc_timestamp(2004, 1, 16, 8)
-        assert january[3] == utc_timestamp(2004, 1, 22, 8)
+        january = suite_times(2004, 1, True)
+        assert january == (
+            utc_timestamp(2004, 1, 15, 8),
+            utc_timestamp(2004, 1, 15, 16),
+            utc_timestamp(2004, 1, 16, 8),
+            utc_timestamp(2004, 1, 22, 8),
+        )
 
     def test_quarter_start(self):
         assert quarter_start(utc_timestamp(2010, 2, 20)) == utc_timestamp(2010, 1, 1)
         assert quarter_start(utc_timestamp(2010, 12, 31)) == utc_timestamp(2010, 10, 1)
-
-    def test_iter_quarters(self):
-        quarters = list(iter_quarters(2004, 2005))
-        assert len(quarters) == 8
-        assert quarters[0][:2] == (2004, 1)
-        assert quarters[-1][:2] == (2005, 10)
